@@ -258,10 +258,6 @@ let run_json () =
   let rev = git_rev () in
   Printf.printf "bench json mode: rev=%s jobs=%d %s\n%!" rev jobs
     (if quick then "(quick)" else "(full)");
-  (* replay-layer and simulation-cache counters cover exactly this bench
-     invocation *)
-  Protolat_machine.Blockcache.reset_totals ();
-  Protolat_machine.Simcache.reset_stats ();
   let t0 = Unix.gettimeofday () in
   let results =
     P.Experiments.full_run ~samples_tcp ~samples_rpc ~rounds ~jobs ()
@@ -276,20 +272,22 @@ let run_json () =
   let single_wall = Unix.gettimeofday () -. t1 in
   (* raw replay throughput of the block-level fast path: repeated warm
      replays of the single run's steady trace against one memory system,
-     reported in runs (basic-block executions) per second *)
+     reported in runs (basic-block executions) per second, with the
+     segmentation's own fast/slow counters over the timed replays *)
+  let replay_bc =
+    Protolat_machine.Blockcache.segment single_spec.P.Engine.Spec.params
+      single.P.Engine.trace
+  in
   let replay_runs_per_s =
-    let params = single_spec.P.Engine.Spec.params in
-    let bc =
-      Protolat_machine.Blockcache.segment params single.P.Engine.trace
-    in
-    let m = Protolat_machine.Memsys.create params in
-    Protolat_machine.Blockcache.replay bc m;
+    let m = Protolat_machine.Memsys.create single_spec.P.Engine.Spec.params in
+    Protolat_machine.Blockcache.replay replay_bc m;
+    Protolat_machine.Blockcache.reset_counters replay_bc;
     let reps = if quick then 100 else 400 in
     let t = Unix.gettimeofday () in
     for _ = 1 to reps do
-      Protolat_machine.Blockcache.replay bc m
+      Protolat_machine.Blockcache.replay replay_bc m
     done;
-    float_of_int (reps * Protolat_machine.Blockcache.n_runs bc)
+    float_of_int (reps * Protolat_machine.Blockcache.n_runs replay_bc)
     /. Float.max (Unix.gettimeofday () -. t) 1e-9
   in
   (* warm the (cached, shared) code-image cache so both sweep timings
@@ -382,33 +380,16 @@ let run_json () =
        (P.Layoutsearch.candidates_per_sec search)
        search_cell.P.Layoutsearch.best_us search_named_us
        (P.Layoutsearch.digest search));
-  (* which replay layers were live, how often they engaged, and what the
-     simulation cache did — so a perf number is never read without knowing
-     what produced it *)
-  let totals = Protolat_machine.Blockcache.totals () in
+  (* whether the fast path was live and how often it engaged, so a perf
+     number is never read without knowing what produced it *)
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"replay\": {\n\
-       \    \"fastpath_enabled\": %b, \"dmemo_enabled\": %b, \
-        \"simcache_enabled\": %b,\n\
-       \    \"runs_per_s\": %.0f,\n\
-       \    \"totals\": {\"fast_runs\": %d, \"slow_runs\": %d, \
-        \"dmemo_runs\": %d, \"dmemo_loads\": %d, \"wbmemo_runs\": %d, \
-        \"wbmemo_stores\": %d},\n\
-       \    \"simcache\": {\"hits\": %d, \"misses\": %d, \"stores\": %d}\n\
-       \  },\n"
+       "  \"replay\": {\"fastpath_enabled\": %b, \"runs_per_s\": %.0f, \
+        \"fast_runs\": %d, \"slow_runs\": %d},\n"
        (Protolat_machine.Blockcache.enabled ())
-       (Protolat_machine.Blockcache.dmemo_enabled ())
-       (Protolat_machine.Simcache.enabled ())
-       replay_runs_per_s totals.Protolat_machine.Blockcache.t_fast_runs
-       totals.Protolat_machine.Blockcache.t_slow_runs
-       totals.Protolat_machine.Blockcache.t_dmemo_runs
-       totals.Protolat_machine.Blockcache.t_dmemo_loads
-       totals.Protolat_machine.Blockcache.t_wbmemo_runs
-       totals.Protolat_machine.Blockcache.t_wbmemo_stores
-       (Protolat_machine.Simcache.hits ())
-       (Protolat_machine.Simcache.misses ())
-       (Protolat_machine.Simcache.stores ()));
+       replay_runs_per_s
+       (Protolat_machine.Blockcache.fast_runs replay_bc)
+       (Protolat_machine.Blockcache.slow_runs replay_bc));
   Buffer.add_string buf "  \"simulated_rtt_us\": {\n";
   Buffer.add_string buf "    \"tcpip\": {\n";
   Buffer.add_string buf (stack_json P.Engine.Tcpip);

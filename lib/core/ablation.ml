@@ -132,7 +132,7 @@ let layout_matrix () =
                  if layout = base_layout then bc0
                  else Machine.Blockcache.rebind bc0 trace
                in
-               f1 (Machine.Perf.steady_bc params bc).Machine.Perf.time_us)
+               f1 (snd (Machine.Perf.measure bc)).Machine.Perf.time_us)
              traces))
     [ 4; 8; 16; 32 ];
   t

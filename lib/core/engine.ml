@@ -775,7 +775,9 @@ let finish ~params ~config ~desc ~(ch : hstate) ~rtts ~retransmissions
      device/protocol counters, so one dump covers the whole run *)
   let h = Obs.Metrics.histogram metrics ~help:"roundtrip latency" "engine.rtt_us" in
   List.iter (Obs.Metrics.observe h) rtts;
-  let cold, steady = Machine.Perf.cold_and_steady params ch.trace in
+  let cold, steady =
+    Machine.Perf.measure (Machine.Blockcache.segment params ch.trace)
+  in
   (* quiesce-time audit: the run's counters must satisfy the metrics
      conservation laws, whatever faults were injected *)
   let iv = Invariant.create () in

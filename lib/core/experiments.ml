@@ -600,9 +600,9 @@ let layout_candidates =
    ({!Layout.Image.pc_map} + {!Trace.map_pcs}), the one-time basic-block
    segmentation is re-bound to the new i-cache lines
    ({!Machine.Blockcache.rebind}), and only the i-side mapping is
-   re-evaluated ({!Perf.steady_bc} / {!Perf.cold_bc}).  [~incremental:false]
-   runs the full simulation per candidate instead — the reports are
-   bit-identical, several times slower. *)
+   re-evaluated ({!Perf.measure}).  [~incremental:false] runs the full
+   simulation per candidate instead — the reports are bit-identical,
+   several times slower. *)
 let layout_sweep_base ?(config = Config.make Config.Clo)
     ?(stack = Engine.Tcpip) () =
   let base_layout = Config.layout_of config.Config.version in
@@ -635,8 +635,8 @@ let layout_sweep ?(config = Config.make Config.Clo) ?(stack = Engine.Tcpip)
               (Layout.Image.pc_map base.Engine.client_image img)
               base.Engine.trace
           in
-          let bc' = Machine.Blockcache.rebind bc trace' in
-          (layout, Perf.cold_bc params bc', Perf.steady_bc params bc')
+          let cold, steady = Perf.measure (Machine.Blockcache.rebind bc trace') in
+          (layout, cold, steady)
         end)
       layouts
   end

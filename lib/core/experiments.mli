@@ -97,9 +97,9 @@ val layout_sweep :
     candidate: instruction addresses are rewritten with
     {!Protolat_layout.Image.pc_map}, the basic-block segmentation is
     re-bound with {!Protolat_machine.Blockcache.rebind}, and both the cold
-    and warm replays go through the block cache ({!Perf.cold_bc} /
-    {!Perf.steady_bc}).  [~incremental:false] runs the full protocol
-    simulation per layout.  Both produce bit-identical reports; the
+    and warm replays go through the block cache
+    ({!Protolat_machine.Perf.measure}).  [~incremental:false] runs the
+    full protocol simulation per layout.  Both produce bit-identical reports; the
     incremental sweep is several times faster.  [?base] supplies the base
     run (from {!layout_sweep_base} with the same [config]/[stack]) instead
     of computing it; only the incremental path uses it. *)

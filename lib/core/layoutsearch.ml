@@ -264,8 +264,6 @@ type cctx = {
   icache_kb : int;
   params : Params.t;
   bc0 : Blockcache.t;
-  issue_cycles : float;
-  instr_cycles : float;
   pairs : (int * int * int) array;  (* (victim unit, evictor unit, count) *)
   pair_total : int;
 }
@@ -341,27 +339,23 @@ let candidate_pcs cc tmpl g =
    ever breaks the fixpoint. *)
 let scorer_warmup = 1
 
+let score_trace cc trace' =
+  let bc' = Blockcache.rebind cc.bc0 trace' in
+  (snd (Perf.measure ~warmup:scorer_warmup ~scratch:(scratch_for cc.params) bc'))
+    .Perf.time_us
+
 let score_genome cc tmpl g =
   let pcs = candidate_pcs cc tmpl g in
-  let trace' = Trace.remap_pcs cc.s.base.Engine.trace pcs in
-  let bc' = Blockcache.rebind cc.bc0 trace' in
-  (Perf.steady_scratch ~warmup:scorer_warmup ~scratch:(scratch_for cc.params)
-     ~issue_cycles:cc.issue_cycles ~instr_cycles:cc.instr_cycles cc.params bc')
-    .Perf.time_us
+  score_trace cc (Trace.remap_pcs cc.s.base.Engine.trace pcs)
 
 (* Score an arbitrary pre-built image (named strategies, incl. pessimal)
    through the same incremental path, so every number in a cell is the
    same measurement. *)
 let score_image cc img =
-  let trace' =
-    Trace.map_pcs
-      (Image.pc_map cc.s.base.Engine.client_image img)
-      cc.s.base.Engine.trace
-  in
-  let bc' = Blockcache.rebind cc.bc0 trace' in
-  (Perf.steady_scratch ~warmup:scorer_warmup ~scratch:(scratch_for cc.params)
-     ~issue_cycles:cc.issue_cycles ~instr_cycles:cc.instr_cycles cc.params bc')
-    .Perf.time_us
+  score_trace cc
+    (Trace.map_pcs
+       (Image.pc_map cc.s.base.Engine.client_image img)
+       cc.s.base.Engine.trace)
 
 (* ----- search state --------------------------------------------------------- *)
 
@@ -578,8 +572,6 @@ let search_cell ~budget ~seeds ~jobs sctx kb =
   in
   let trace = sctx.base.Engine.trace in
   let bc0 = Blockcache.segment params trace in
-  let issue_cycles = Machine.Cpu.issue_cycles params trace in
-  let instr_cycles = Machine.Cpu.perfect_memory_cycles params trace in
   (* guidance: the conflict matrix of the base layout at this geometry *)
   let attrib = Obs.Attrib.profile params sctx.base.Engine.client_image trace in
   let pairs =
@@ -595,8 +587,7 @@ let search_cell ~budget ~seeds ~jobs sctx kb =
   in
   let pair_total = Array.fold_left (fun a (_, _, c) -> a + c) 0 pairs in
   let cc =
-    { s = sctx; icache_kb = kb; params; bc0; issue_cycles; instr_cycles;
-      pairs; pair_total }
+    { s = sctx; icache_kb = kb; params; bc0; pairs; pair_total }
   in
   let st =
     { cc; budget; jobs; memo = Hashtbl.create 1024; evals = 0; eval_s = 0.0;

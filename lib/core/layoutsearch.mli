@@ -10,7 +10,7 @@
     against a per-clone-vector template image (no {!Protolat_layout.Image.build}
     per candidate), re-bound with {!Protolat_machine.Blockcache.rebind},
     and replayed against a reused scratch hierarchy
-    ({!Protolat_machine.Perf.steady_scratch}) — bit-identical to a full
+    ({!Protolat_machine.Perf.measure} with [~scratch]) — bit-identical to a full
     simulation of the decoded image, at ≥1000 candidates/sec on one core.
 
     Moves are guided by the {!Protolat_obs.Attrib} i-cache conflict

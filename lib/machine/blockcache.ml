@@ -7,21 +7,15 @@
    rediscover n hits: the i-side contributes zero stall, never touches the
    sequential-stream state, and bumps only the hit counters.  This module
    segments a trace once into compact block-level tables — flat run-offset
-   arrays plus packed [Bigarray] reference streams ([(addr lsl 2) lor kind])
-   instead of per-instruction SoA rows — then replays it by
+   arrays plus a packed [Bigarray] data-reference stream
+   ([(addr lsl 2) lor kind]) instead of per-instruction SoA rows — then
+   replays it by
 
    - verifying each run's lines are still resident via {!Cache} generation
      tags (k integer compares in the common case, k probes after an
      invalidation), and when warm, charging the i-side with a single
      {!Cache.credit_hits} and replaying only the data references from the
      packed stream;
-   - extending the same generation-tag trick to the d-side: a warm run whose
-     distinct load lines are provably still resident in the d-cache charges
-     its loads in one {!Memsys.credit_dhits} instead of a
-     {!Memsys.daccess_acc} per reference, and a run whose stores all merged
-     while the write buffer's content generation is unchanged charges them
-     with one {!Memsys.credit_merged_stores}; any invalidation falls back
-     per-run to the exact reference replay;
    - falling back to the exact per-instruction {!Memsys.access_acc} loop for
      runs that are not verifiably warm (first encounter, post-invalidate,
      layout conflict within the run, or the fast path disabled).
@@ -35,17 +29,13 @@
    addition commutes).  Data references never read or modify i-cache state,
    so they see identical d-cache/write-buffer/b-cache state and are replayed
    in the same order with the same addresses; stall accumulation order is
-   preserved because hits contribute no terms.  The d-side memo extends the
-   same argument one level down: stores never touch the d-cache, so if all
-   of a run's distinct load lines are resident at run entry (generation
-   compare, and the run's load lines are mutually conflict-free) every load
-   hits — each would contribute 0.0 stall and only the d/wb access and
-   d-cache hit counters, applied in one step.  Loads never touch the write
-   buffer, so if the buffer's content generation still matches a snapshot
-   taken across a replay in which the run's stores all merged, the buffer
-   holds the same blocks and the same store sequence merges again — 0.0
-   stall, counters applied in one step.  Runs whose lines cannot be proven
-   resident take the exact path verbatim. *)
+   preserved because hits contribute no terms.  Runs whose lines cannot be
+   proven resident take the exact path verbatim.
+
+   The segmentation also carries its params and the two CPU-model scans
+   ({!Cpu.issue_cycles}, {!Cpu.perfect_memory_cycles}): they read only the
+   instruction-class column, which {!rebind} never changes, so every
+   rebound segmentation shares them with the one it came from. *)
 
 let enabled_flag =
   ref
@@ -57,24 +47,15 @@ let enabled () = !enabled_flag
 
 let set_enabled b = enabled_flag := b
 
-let dmemo_flag =
-  ref
-    (match Sys.getenv_opt "PROTOLAT_DMEMO" with
-    | Some ("0" | "false" | "off" | "no") -> false
-    | _ -> true)
-
-let dmemo_enabled () = !dmemo_flag
-
-let set_dmemo_enabled b = dmemo_flag := b
-
 type ref_stream = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
   trace : Trace.t;
+  params : Params.t;
+  issue_cycles : float;
+  instr_cycles : float;
   block_shift : int;
   n_sets : int;  (* i-cache geometry the i-side tables assume *)
-  d_shift : int;
-  nd_sets : int;  (* d-cache geometry the d-side tables assume *)
   n_runs : int;
   run_start : int array;  (* n_runs+1: run r = trace [start.(r), start.(r+1)) *)
   (* i-side tables, layout-dependent (rebuilt by {!rebind}): *)
@@ -85,33 +66,25 @@ type t = {
   iconf : Bytes.t;
       (* per run, '\001' when two of its lines map to the same i-set: the
          run can evict its own lines mid-flight, never warm-replayable *)
-  (* d-side tables, layout-INVARIANT (a layout change moves instruction
+  (* data references, layout-INVARIANT (a layout change moves instruction
      addresses only, so rebinds share them): *)
   refs : ref_stream;  (* all data refs, trace order: (addr lsl 2) lor kind *)
   ref_off : int array;  (* n_runs+1 *)
-  wrefs : ref_stream;  (* store addresses only, trace order *)
-  wref_off : int array;  (* n_runs+1 *)
-  dlines : int array;  (* distinct d-cache lines of the run's loads *)
-  dsets : int array;
-  dl_off : int array;  (* n_runs+1 *)
-  dgens : int array;  (* generation snapshot per d-line; -1 = unverified *)
-  dconf : Bytes.t;  (* two distinct load lines of the run share a d-set *)
-  wbgens : int array;
-      (* per run: write-buffer content generation at the start of a replay
-         through which all the run's stores merged; -1 = unverified *)
   mutable bound : Memsys.t option;
       (* the memory system the gen snapshots refer to, compared physically:
          a fresh cache restarts generations at 0, which could coincide with
          stale snapshots and fake residency *)
   mutable fast_runs : int;
   mutable slow_runs : int;
-  mutable dmemo_runs : int;
-  mutable dmemo_loads : int;
-  mutable wbmemo_runs : int;
-  mutable wbmemo_stores : int;
 }
 
 let trace t = t.trace
+
+let params t = t.params
+
+let issue_cycles t = t.issue_cycles
+
+let instr_cycles t = t.instr_cycles
 
 let n_runs t = t.n_runs
 
@@ -119,65 +92,9 @@ let fast_runs t = t.fast_runs
 
 let slow_runs t = t.slow_runs
 
-let dmemo_runs t = t.dmemo_runs
-
-let dmemo_loads t = t.dmemo_loads
-
-let wbmemo_runs t = t.wbmemo_runs
-
-let wbmemo_stores t = t.wbmemo_stores
-
 let reset_counters t =
   t.fast_runs <- 0;
-  t.slow_runs <- 0;
-  t.dmemo_runs <- 0;
-  t.dmemo_loads <- 0;
-  t.wbmemo_runs <- 0;
-  t.wbmemo_stores <- 0
-
-(* ----- process-wide replay totals ----------------------------------------- *)
-
-(* Accumulated at the end of every {!replay} (one atomic add per counter per
-   replay — negligible), so the bench harness can report fast-path and memo
-   hit rates for a whole run regardless of how many block caches and
-   domains were involved. *)
-
-type totals = {
-  t_fast_runs : int;
-  t_slow_runs : int;
-  t_dmemo_runs : int;
-  t_dmemo_loads : int;
-  t_wbmemo_runs : int;
-  t_wbmemo_stores : int;
-}
-
-let g_fast = Atomic.make 0
-
-let g_slow = Atomic.make 0
-
-let g_dmemo_runs = Atomic.make 0
-
-let g_dmemo_loads = Atomic.make 0
-
-let g_wbmemo_runs = Atomic.make 0
-
-let g_wbmemo_stores = Atomic.make 0
-
-let totals () =
-  { t_fast_runs = Atomic.get g_fast;
-    t_slow_runs = Atomic.get g_slow;
-    t_dmemo_runs = Atomic.get g_dmemo_runs;
-    t_dmemo_loads = Atomic.get g_dmemo_loads;
-    t_wbmemo_runs = Atomic.get g_wbmemo_runs;
-    t_wbmemo_stores = Atomic.get g_wbmemo_stores }
-
-let reset_totals () =
-  Atomic.set g_fast 0;
-  Atomic.set g_slow 0;
-  Atomic.set g_dmemo_runs 0;
-  Atomic.set g_dmemo_loads 0;
-  Atomic.set g_wbmemo_runs 0;
-  Atomic.set g_wbmemo_stores 0
+  t.slow_runs <- 0
 
 (* ----- segmentation -------------------------------------------------------- *)
 
@@ -249,71 +166,43 @@ let segment (p : Params.t) trace =
   let n = Trace.length trace in
   let block_shift = log2 p.Params.block_bytes in
   let n_sets = p.Params.icache_bytes / p.Params.block_bytes in
-  let nd_sets = p.Params.dcache_bytes / p.Params.block_bytes in
   (* pass 1: run boundaries and reference counts *)
   let starts = ibuf_make () in
   ibuf_push starts 0;
   let n_refs = ref 0 in
-  let n_stores = ref 0 in
   for i = 0 to n - 1 do
-    let k = Trace.kind_at trace i in
-    if k <> Trace.kind_none then begin
-      incr n_refs;
-      if k = Trace.kind_write then incr n_stores
-    end;
+    if Trace.kind_at trace i <> Trace.kind_none then incr n_refs;
     if i + 1 >= n || Trace.pc_at trace (i + 1) <> Trace.pc_at trace i + 4 then
       ibuf_push starts (i + 1)
   done;
   let run_start = ibuf_contents starts in
   let n_runs = Array.length run_start - 1 in
-  (* pass 2: packed reference streams and the d-side line tables *)
+  (* pass 2: the packed reference stream *)
   let refs =
     Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max 1 !n_refs)
   in
-  let wrefs =
-    Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max 1 !n_stores)
-  in
   let ref_off = Array.make (n_runs + 1) 0 in
-  let wref_off = Array.make (n_runs + 1) 0 in
-  let dl_off = Array.make (n_runs + 1) 0 in
-  let dlines_b = ibuf_make () in
-  let dsets_b = ibuf_make () in
-  let dconf = Bytes.make (max 1 n_runs) '\000' in
-  let dmask = nd_sets - 1 in
   let rc = ref 0 in
-  let wc = ref 0 in
   for r = 0 to n_runs - 1 do
-    let dlo = dlines_b.n in
     for i = run_start.(r) to run_start.(r + 1) - 1 do
       let k = Trace.kind_at trace i in
       if k <> Trace.kind_none then begin
-        let addr = Trace.addr_at trace i in
-        Bigarray.Array1.unsafe_set refs !rc ((addr lsl 2) lor k);
-        incr rc;
-        if k = Trace.kind_write then begin
-          Bigarray.Array1.unsafe_set wrefs !wc addr;
-          incr wc
-        end
-        else ibuf_push_unique dlines_b dlo (addr lsr block_shift)
+        Bigarray.Array1.unsafe_set refs !rc ((Trace.addr_at trace i lsl 2) lor k);
+        incr rc
       end
     done;
-    for j = dlo to dlines_b.n - 1 do
-      ibuf_push dsets_b (dlines_b.buf.(j) land dmask)
-    done;
-    if has_dup dsets_b dlo then Bytes.set dconf r '\001';
-    ref_off.(r + 1) <- !rc;
-    wref_off.(r + 1) <- !wc;
-    dl_off.(r + 1) <- dlines_b.n
+    ref_off.(r + 1) <- !rc
   done;
-  let dlines = ibuf_contents dlines_b in
   let lines, sets, line_off, igens, iconf =
     bind_ilines ~trace ~block_shift ~n_sets ~run_start ~n_runs
   in
+  let issue_cycles = Cpu.issue_cycles p trace in
   { trace;
+    params = p;
+    issue_cycles;
+    instr_cycles = issue_cycles +. Cpu.penalty_cycles p trace;
     block_shift;
     n_sets;
-    d_shift = block_shift;
-    nd_sets;
     n_runs;
     run_start;
     lines;
@@ -323,29 +212,17 @@ let segment (p : Params.t) trace =
     iconf;
     refs;
     ref_off;
-    wrefs;
-    wref_off;
-    dlines;
-    dsets = ibuf_contents dsets_b;
-    dl_off;
-    dgens = Array.make (Array.length dlines) (-1);
-    dconf;
-    wbgens = Array.make (max 1 n_runs) (-1);
     bound = None;
     fast_runs = 0;
-    slow_runs = 0;
-    dmemo_runs = 0;
-    dmemo_loads = 0;
-    wbmemo_runs = 0;
-    wbmemo_stores = 0 }
+    slow_runs = 0 }
 
 let rebind t trace' =
   if Trace.length trace' <> Trace.length t.trace then
     invalid_arg "Blockcache.rebind: trace length mismatch";
-  (* A layout change rewrites instruction addresses only: run boundaries and
-     the packed reference streams (data addresses) are invariant and shared;
-     the i-side line tables are recomputed, and the memo state (generation
-     snapshots) starts unverified. *)
+  (* A layout change rewrites instruction addresses only: run boundaries,
+     the packed reference stream (data addresses) and the CPU-model scans
+     (instruction classes) are invariant and shared; the i-side line tables
+     are recomputed, and the generation snapshots start unverified. *)
   let lines, sets, line_off, igens, iconf =
     bind_ilines ~trace:trace' ~block_shift:t.block_shift ~n_sets:t.n_sets
       ~run_start:t.run_start ~n_runs:t.n_runs
@@ -357,15 +234,9 @@ let rebind t trace' =
     line_off;
     igens;
     iconf;
-    dgens = Array.make (Array.length t.dlines) (-1);
-    wbgens = Array.make (max 1 t.n_runs) (-1);
     bound = None;
     fast_runs = 0;
-    slow_runs = 0;
-    dmemo_runs = 0;
-    dmemo_loads = 0;
-    wbmemo_runs = 0;
-    wbmemo_stores = 0 }
+    slow_runs = 0 }
 
 (* ----- replay -------------------------------------------------------------- *)
 
@@ -406,48 +277,21 @@ let replay_run_cold m ic ~block_shift trace ~start ~fin =
     Cache.credit_hits ic !hits
   done
 
-(* After a full-reference replay of run [r] with no self-conflicting load
-   lines, every load line was just loaded and nothing in the run could evict
-   it (stores never touch the d-cache): snapshot the generations so the next
-   encounter verifies by comparison alone. *)
-let snapshot_dgens t dc dcgens r =
-  if Bytes.unsafe_get t.dconf r = '\000' then
-    for j = t.dl_off.(r) to t.dl_off.(r + 1) - 1 do
-      if Cache.resident_line dc t.dlines.(j) then
-        t.dgens.(j) <- Array.unsafe_get dcgens (Array.unsafe_get t.dsets j)
-      else t.dgens.(j) <- -1
-    done
-
 let replay t m =
   (match t.bound with
   | Some m' when m' == m -> ()
   | _ ->
     Array.fill t.igens 0 (Array.length t.igens) (-1);
-    Array.fill t.dgens 0 (Array.length t.dgens) (-1);
-    Array.fill t.wbgens 0 (Array.length t.wbgens) (-1);
     t.bound <- Some m);
   let ic = Memsys.icache m in
-  let dc = Memsys.dcache m in
-  let wb = Memsys.write_buffer m in
-  let geometry_ok =
-    Cache.n_sets ic = t.n_sets
+  let fast_on =
+    !enabled_flag
+    && Cache.n_sets ic = t.n_sets
     && log2 (Cache.block_bytes ic) = t.block_shift
   in
-  let fast_on = !enabled_flag && geometry_ok in
-  let dmemo_on =
-    fast_on && !dmemo_flag
-    && Cache.n_sets dc = t.nd_sets
-    && log2 (Cache.block_bytes dc) = t.d_shift
-  in
   let icgens = Cache.generations ic in
-  let dcgens = Cache.generations dc in
   let trace = t.trace in
-  let fast = ref 0
-  and slow = ref 0
-  and dm_runs = ref 0
-  and dm_loads = ref 0
-  and wb_runs = ref 0
-  and wb_stores = ref 0 in
+  let fast = ref 0 and slow = ref 0 in
   for r = 0 to t.n_runs - 1 do
     let warm =
       fast_on
@@ -466,75 +310,17 @@ let replay t m =
       done;
       !ok
     in
-    let rlo = t.ref_off.(r) and rhi = t.ref_off.(r + 1) in
-    let wlo = t.wref_off.(r) and whi = t.wref_off.(r + 1) in
-    let nstores = whi - wlo in
     if warm then begin
       incr fast;
       Cache.credit_hits ic (t.run_start.(r + 1) - t.run_start.(r));
-      if rhi > rlo then begin
-        let nloads = rhi - rlo - nstores in
-        let dwarm =
-          dmemo_on
-          && (nloads = 0
-             || Bytes.unsafe_get t.dconf r = '\000'
-                &&
-                let hi = t.dl_off.(r + 1) in
-                let ok = ref true in
-                let j = ref t.dl_off.(r) in
-                while !ok && !j < hi do
-                  let g =
-                    Array.unsafe_get dcgens (Array.unsafe_get t.dsets !j)
-                  in
-                  if Array.unsafe_get t.dgens !j <> g then
-                    if Cache.resident_line dc (Array.unsafe_get t.dlines !j)
-                    then Array.unsafe_set t.dgens !j g
-                    else ok := false;
-                  incr j
-                done;
-                !ok)
-        in
-        if dwarm then begin
-          if nloads > 0 then begin
-            incr dm_runs;
-            dm_loads := !dm_loads + nloads;
-            Memsys.credit_dhits m nloads
-          end;
-          if nstores > 0 then
-            if t.wbgens.(r) = Write_buffer.generation wb then begin
-              incr wb_runs;
-              wb_stores := !wb_stores + nstores;
-              Memsys.credit_merged_stores m nstores
-            end
-            else begin
-              let g0 = Write_buffer.generation wb in
-              for j = wlo to whi - 1 do
-                Memsys.daccess_acc m ~kind:Trace.kind_write
-                  ~addr:(Bigarray.Array1.unsafe_get t.wrefs j)
-              done;
-              t.wbgens.(r) <-
-                (if Write_buffer.generation wb = g0 then g0 else -1)
-            end
-        end
-        else begin
-          (* full reference replay from the packed stream, trace order *)
-          let g0 = Write_buffer.generation wb in
-          for j = rlo to rhi - 1 do
-            let v = Bigarray.Array1.unsafe_get t.refs j in
-            Memsys.daccess_acc m ~kind:(v land 3) ~addr:(v lsr 2)
-          done;
-          if dmemo_on then begin
-            snapshot_dgens t dc dcgens r;
-            t.wbgens.(r) <-
-              (if nstores > 0 && Write_buffer.generation wb = g0 then g0
-               else -1)
-          end
-        end
-      end
+      (* the data references from the packed stream, trace order *)
+      for j = t.ref_off.(r) to t.ref_off.(r + 1) - 1 do
+        let v = Bigarray.Array1.unsafe_get t.refs j in
+        Memsys.daccess_acc m ~kind:(v land 3) ~addr:(v lsr 2)
+      done
     end
     else begin
       incr slow;
-      let g0 = Write_buffer.generation wb in
       let start = t.run_start.(r) and fin = t.run_start.(r + 1) - 1 in
       if fast_on then
         replay_run_cold m ic ~block_shift:t.block_shift trace ~start ~fin
@@ -547,23 +333,8 @@ let replay t m =
           if Cache.resident_line ic t.lines.(j) then
             t.igens.(j) <- Array.unsafe_get icgens (Array.unsafe_get t.sets j)
           else t.igens.(j) <- -1
-        done;
-      if dmemo_on then begin
-        snapshot_dgens t dc dcgens r;
-        t.wbgens.(r) <-
-          (if nstores > 0 && Write_buffer.generation wb = g0 then g0 else -1)
-      end
+        done
     end
   done;
   t.fast_runs <- t.fast_runs + !fast;
-  t.slow_runs <- t.slow_runs + !slow;
-  t.dmemo_runs <- t.dmemo_runs + !dm_runs;
-  t.dmemo_loads <- t.dmemo_loads + !dm_loads;
-  t.wbmemo_runs <- t.wbmemo_runs + !wb_runs;
-  t.wbmemo_stores <- t.wbmemo_stores + !wb_stores;
-  ignore (Atomic.fetch_and_add g_fast !fast);
-  ignore (Atomic.fetch_and_add g_slow !slow);
-  ignore (Atomic.fetch_and_add g_dmemo_runs !dm_runs);
-  ignore (Atomic.fetch_and_add g_dmemo_loads !dm_loads);
-  ignore (Atomic.fetch_and_add g_wbmemo_runs !wb_runs);
-  ignore (Atomic.fetch_and_add g_wbmemo_stores !wb_stores)
+  t.slow_runs <- t.slow_runs + !slow

@@ -1,23 +1,21 @@
 (** Memoized basic-block replay — the simulator's warm-block fast path.
 
     Segments a trace once into compact block-level tables (flat run-offset
-    arrays plus packed [Bigarray] reference streams), then replays it
+    arrays plus a packed [Bigarray] data-reference stream), then replays it
     against a {!Memsys}: a run whose i-cache lines are verifiably resident
     (witnessed by {!Cache} generation tags) is charged its hits in one step
-    and only its data references are simulated — and the same
-    generation-tag trick extends to the d-side, so a run whose distinct
-    load lines are provably still resident in the d-cache, and whose
-    stores provably all merge in the write buffer, is charged a memoized
-    d-side summary instead of a {!Memsys.daccess_acc} per reference.
-    Anything not verifiably warm falls back per-run to the exact
-    per-instruction loop.  Results — stall totals, every cache counter,
-    eviction history — are bit-identical to {!Memsys.run}.
+    and only its data references are simulated.  Anything not verifiably
+    warm falls back per-run to the exact per-instruction loop.  Results —
+    stall totals, every cache counter, eviction history — are bit-identical
+    to {!Memsys.run}.
 
-    The knobs: set [PROTOLAT_FASTPATH=0] (or [false]/[off]/[no]) in the
+    A segmentation is everything {!Perf.measure} needs: it carries the
+    params it was cut for and the trace's CPU-model scans
+    ({!Cpu.issue_cycles}, {!Cpu.perfect_memory_cycles}).
+
+    The knob: set [PROTOLAT_FASTPATH=0] (or [false]/[off]/[no]) in the
     environment, or call {!set_enabled}[ false], to force the slow path
-    everywhere; set [PROTOLAT_DMEMO=0] or call {!set_dmemo_enabled}[ false]
-    to keep the warm-block path but replay every data reference.  Used by
-    the CI equivalence legs and the fast-path tests. *)
+    everywhere.  Used by the CI equivalence leg and the fast-path tests. *)
 
 type t
 
@@ -27,24 +25,19 @@ val enabled : unit -> bool
 
 val set_enabled : bool -> unit
 
-val dmemo_enabled : unit -> bool
-(** Current state of the d-side memoization knob (initialized from the
-    [PROTOLAT_DMEMO] environment variable; on by default).  Only takes
-    effect where the warm-block path itself applies. *)
-
-val set_dmemo_enabled : bool -> unit
-
 val segment : Params.t -> Trace.t -> t
-(** Segment [trace] into basic-block runs against the i- and d-cache
-    geometries in the params.  One O(length) pass; the result can replay
-    against any number of memory systems. *)
+(** Segment [trace] into basic-block runs against the i-cache geometry in
+    the params, and run the two CPU-model scans.  O(length); the result can
+    replay against any number of memory systems. *)
 
 val rebind : t -> Trace.t -> t
-(** [rebind t trace'] reuses [t]'s segmentation — run boundaries and the
-    packed data-reference streams, which a code layout change does not
-    alter, are shared structurally — but recomputes each run's i-cache
-    lines from [trace']'s pcs: the incremental step of a layout sweep,
-    where only instruction addresses moved.
+(** [rebind t trace'] reuses [t]'s segmentation — run boundaries, the
+    packed data-reference stream and the CPU-model scans, which a code
+    layout change does not alter, are shared structurally — but recomputes
+    each run's i-cache lines from [trace']'s pcs: the incremental step of a
+    layout sweep, where only instruction addresses moved.  [trace'] must
+    differ from [trace t] in its pcs alone ({!Trace.map_pcs} /
+    {!Trace.remap_pcs} of it).
 
     @raise Invalid_argument if the traces differ in length. *)
 
@@ -56,14 +49,21 @@ val replay : t -> Memsys.t -> unit
 
 val trace : t -> Trace.t
 
+val params : t -> Params.t
+(** The params given to {!segment}. *)
+
+val issue_cycles : t -> float
+(** {!Cpu.issue_cycles} of the trace under {!params}. *)
+
+val instr_cycles : t -> float
+(** {!Cpu.perfect_memory_cycles} of the trace under {!params}. *)
+
 val n_runs : t -> int
 
 (** {2 Per-instance replay counters}
 
-    All six reset together via {!reset_counters}; the measured-replay entry
-    points ({!Perf.steady_bc} and friends) reset them after warmup so the
-    counters always describe the measured replay alone and cannot carry
-    state across runs. *)
+    {!Perf.measure} resets them after warmup, immediately before the
+    measured replay, so they describe the measured replay alone. *)
 
 val fast_runs : t -> int
 (** Runs replayed via the memoized i-side path since the last
@@ -73,35 +73,4 @@ val slow_runs : t -> int
 (** Runs replayed instruction-by-instruction since the last
     {!reset_counters}. *)
 
-val dmemo_runs : t -> int
-(** Warm runs whose loads were all charged via the d-cache memo. *)
-
-val dmemo_loads : t -> int
-(** Loads skipped (charged via {!Memsys.credit_dhits}). *)
-
-val wbmemo_runs : t -> int
-(** Warm runs whose stores were all charged via the write-buffer memo. *)
-
-val wbmemo_stores : t -> int
-(** Stores skipped (charged via {!Memsys.credit_merged_stores}). *)
-
 val reset_counters : t -> unit
-
-(** {2 Process-wide totals}
-
-    The same six counters accumulated across every replay in the process
-    (atomically, so domain-parallel sweeps count too) — the source of the
-    fast-path hit rates recorded in the bench JSON. *)
-
-type totals = {
-  t_fast_runs : int;
-  t_slow_runs : int;
-  t_dmemo_runs : int;
-  t_dmemo_loads : int;
-  t_wbmemo_runs : int;
-  t_wbmemo_stores : int;
-}
-
-val totals : unit -> totals
-
-val reset_totals : unit -> unit

@@ -173,9 +173,9 @@ let reset_stats t =
    [invalidate_all] this forgets the eviction bitset too, so a subsequent
    first-touch miss classifies as cold again.  Reusing a cleared cache is
    only sound when no generation snapshot taken against it survives the
-   clear (a fresh snapshot table per clear, as {!Blockcache.rebind}
-   produces, satisfies this) — a reset generation can coincide with a
-   stale snapshot and fake residency. *)
+   clear — a reset generation can coincide with a stale snapshot and fake
+   residency.  The snapshots are a Blockcache segmentation's i-side
+   tables, and a fresh segment or rebind starts with none. *)
 let clear t =
   Array.fill t.tags 0 t.sets (-1);
   Array.fill t.gens 0 t.sets 0;

@@ -72,7 +72,9 @@ val clear : t -> unit
     true reset, not an eviction — it lets a scorer reuse one cache
     allocation per candidate instead of paying {!create}.  Only sound when
     no generation snapshot taken before the clear survives it: a reset
-    generation can coincide with a stale snapshot and fake residency. *)
+    generation can coincide with a stale snapshot and fake residency.  The
+    only snapshots are a {!Blockcache} segmentation's i-side ones, and a
+    fresh {!Blockcache.segment} or {!Blockcache.rebind} holds none. *)
 
 val reset_stats : t -> unit
 

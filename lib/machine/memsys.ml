@@ -56,32 +56,7 @@ let params t = t.p
 
 let icache t = t.ic
 
-let dcache t = t.dc
-
-let write_buffer t = t.wb
-
 let dwb_misses t = t.dwb_miss
-
-(* Batch credit for [n] loads proven to hit in the d-cache (all their lines
-   resident, witnessed by generation tags): each hitting [load] does
-   [dwb_acc + 1] and a hitting [Cache.access] on the d-cache, contributes
-   0.0 stall and touches nothing else — so the whole batch reduces to the
-   counter increments, applied in one step. *)
-let credit_dhits t n =
-  if n > 0 then begin
-    t.dwb_acc <- t.dwb_acc + n;
-    Cache.credit_hits t.dc n
-  end
-
-(* Batch credit for [n] stores proven to merge in the write buffer (its
-   content generation is unchanged since a replay in which they all
-   merged): each merging [store] does [dwb_acc + 1] and a merging
-   [Write_buffer.write], contributes 0.0 stall and touches nothing else. *)
-let credit_merged_stores t n =
-  if n > 0 then begin
-    t.dwb_acc <- t.dwb_acc + n;
-    Write_buffer.credit_merges t.wb n
-  end
 
 (* One b-cache reference.  [latency_factor] scales the charged latency: a
    pure prefetch costs nothing now (its benefit shows up as the cheap

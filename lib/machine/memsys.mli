@@ -18,29 +18,9 @@ val icache : t -> Cache.t
 (** The i-cache itself — attribution passes read {!Cache.last_victim} and
     miss counters between accesses to classify conflict misses. *)
 
-val dcache : t -> Cache.t
-(** The d-cache — the d-side memoized fast path reads its generation tags
-    to prove a block's load lines still resident. *)
-
-val write_buffer : t -> Write_buffer.t
-(** The write buffer — the d-side memoized fast path reads its content
-    generation to prove a block's stores will all merge again. *)
-
 val dwb_misses : t -> int
 (** Combined d-read misses + writes that reached the b-cache (the [dwb]
     row of {!stats}), readable mid-replay without building a [stats]. *)
-
-val credit_dhits : t -> int -> unit
-(** [credit_dhits t n] records [n] hitting loads in one step: the exact
-    statistics effect of [n] {!load} calls that hit (d/wb accesses and
-    d-cache hits up by [n], zero stall).  Only valid when the caller has
-    proven all [n] loads would hit ({!Cache.generations} on {!dcache}). *)
-
-val credit_merged_stores : t -> int -> unit
-(** [credit_merged_stores t n] records [n] merging stores in one step: the
-    exact statistics effect of [n] {!store} calls that merge.  Only valid
-    when the caller has proven all [n] stores would merge
-    ({!Write_buffer.generation} on {!write_buffer}). *)
 
 val ifetch : t -> int -> float
 (** Fetch the instruction at a byte address; returns stall cycles. *)
@@ -92,9 +72,8 @@ val clear : t -> unit
     accumulators zeroed.  A cleared hierarchy simulates any trace
     bit-identically to a new one — the point is skipping the b-cache's
     two 65536-set array allocations when scoring many candidates against
-    a reused scratch hierarchy.  Same caveat as {!Cache.clear}: any
-    generation snapshot taken before the clear must not survive it
-    (a fresh {!Blockcache.rebind} per clear satisfies this). *)
+    a reused scratch hierarchy.  Same caveat as {!Cache.clear} for the
+    i-cache's generation tags. *)
 
 val reset_stats : t -> unit
 

@@ -10,9 +10,9 @@ type report = {
   time_us : float;
 }
 
-(* The [icpi]/[mcpi]/[cpi]/[time_us] derivations live here so that [build],
-   [cold_and_steady] (which precomputes the CPU scans once) and the
-   simulation-cache decode path all produce bit-identical reports. *)
+(* The [icpi]/[mcpi]/[cpi]/[time_us] derivations live here so that [cold]
+   (which runs the CPU scans itself) and [measure] (which reads them from
+   the segmentation) produce bit-identical reports. *)
 let derive p ~length ~issue_cycles ~instr_cycles (stats : Memsys.stats) =
   let total_cycles = instr_cycles +. stats.Memsys.stall_cycles in
   let flen = float_of_int (max length 1) in
@@ -26,182 +26,53 @@ let derive p ~length ~issue_cycles ~instr_cycles (stats : Memsys.stats) =
     cpi = total_cycles /. flen;
     time_us = Params.cycles_to_us p total_cycles }
 
-let build p trace (stats : Memsys.stats) =
-  derive p ~length:(Trace.length trace)
-    ~issue_cycles:(Cpu.issue_cycles p trace)
-    ~instr_cycles:(Cpu.perfect_memory_cycles p trace)
-    stats
-
-(* ----- simulation-cache plumbing ------------------------------------------ *)
-
-(* A report is 13 independent words — the trace length, the nine cache
-   counters, and the stall/issue/perfect-memory cycles (floats stored
-   bit-exactly) — everything else re-derives through [derive], which is the
-   same pure code both the compute and the decode path run, so a cached
-   report is bit-identical to a recomputed one. *)
-
-let payload_len = 13
-
-let encode_report r =
-  let s = r.stats in
-  [| Int64.of_int r.length;
-     Int64.of_int s.Memsys.icache.Memsys.miss;
-     Int64.of_int s.Memsys.icache.Memsys.acc;
-     Int64.of_int s.Memsys.icache.Memsys.repl;
-     Int64.of_int s.Memsys.dwb.Memsys.miss;
-     Int64.of_int s.Memsys.dwb.Memsys.acc;
-     Int64.of_int s.Memsys.dwb.Memsys.repl;
-     Int64.of_int s.Memsys.bcache.Memsys.miss;
-     Int64.of_int s.Memsys.bcache.Memsys.acc;
-     Int64.of_int s.Memsys.bcache.Memsys.repl;
-     Int64.bits_of_float s.Memsys.stall_cycles;
-     Int64.bits_of_float r.issue_cycles;
-     Int64.bits_of_float r.instr_cycles |]
-
-let decode_report p w =
-  if Array.length w <> payload_len then None
-  else begin
-    let gi i = Int64.to_int w.(i) in
-    let stats =
-      { Memsys.icache = { Memsys.miss = gi 1; acc = gi 2; repl = gi 3 };
-        dwb = { Memsys.miss = gi 4; acc = gi 5; repl = gi 6 };
-        bcache = { Memsys.miss = gi 7; acc = gi 8; repl = gi 9 };
-        stall_cycles = Int64.float_of_bits w.(10) }
-    in
-    Some
-      (derive p ~length:(gi 0)
-         ~issue_cycles:(Int64.float_of_bits w.(11))
-         ~instr_cycles:(Int64.float_of_bits w.(12))
-         stats)
-  end
-
-(* Cache key: measurement kind, simulation parameters and the trace's
-   replay identity.  The payload-layout version is baked in so a layout
-   change can never decode stale entries. *)
-let sim_key ~tag p trace =
-  Digest.string
-    (String.concat "\000"
-       [ "protolat-perf:1"; tag; Marshal.to_string p []; Trace.digest trace ])
-
-(* [cached ~tag p trace compute]: serve the report from the simulation
-   cache when possible, otherwise compute and store it.  The compute thunk
-   also owns any segmentation work, so a hit skips it entirely. *)
-let cached ~tag p trace compute =
-  if not (Simcache.enabled ()) then compute ()
-  else begin
-    let key = sim_key ~tag p trace in
-    match Option.bind (Simcache.find key) (decode_report p) with
-    | Some r -> r
-    | None ->
-      let r = compute () in
-      Simcache.add key (encode_report r);
-      r
-  end
-
-(* ----- measurements -------------------------------------------------------- *)
-
 let cold p trace =
   (* A single replay from empty caches gains nothing from the warm-block
      memo (no run is warm yet), so the plain loop is used. *)
-  cached ~tag:"cold" p trace (fun () ->
-      let m = Memsys.create p in
-      ignore (Memsys.run m trace);
-      build p trace (Memsys.stats m))
-
-let cold_bc p bc =
-  (* Cold measurement from an existing segmentation: one chunked replay
-     against a fresh memory system — bit-identical to [Memsys.run] (the
-     block-cache equivalence argument), and the incremental step of a
-     layout sweep where the rebound segmentation already exists. *)
-  let trace = Blockcache.trace bc in
-  cached ~tag:"cold" p trace (fun () ->
-      let m = Memsys.create p in
-      Blockcache.replay bc m;
-      build p trace (Memsys.stats m))
-
-let steady_tag warmup = "steady:" ^ string_of_int warmup
-
-let measure_steady ~warmup p bc =
   let m = Memsys.create p in
-  for _ = 1 to warmup do
-    Blockcache.replay bc m
-  done;
-  Memsys.reset_stats m;
+  ignore (Memsys.run m trace);
+  derive p ~length:(Trace.length trace)
+    ~issue_cycles:(Cpu.issue_cycles p trace)
+    ~instr_cycles:(Cpu.perfect_memory_cycles p trace)
+    (Memsys.stats m)
+
+let report_of bc m =
+  derive (Blockcache.params bc)
+    ~length:(Trace.length (Blockcache.trace bc))
+    ~issue_cycles:(Blockcache.issue_cycles bc)
+    ~instr_cycles:(Blockcache.instr_cycles bc)
+    (Memsys.stats m)
+
+let measure ?(warmup = 3) ?scratch bc =
+  let p = Blockcache.params bc in
+  let m =
+    match scratch with
+    | None -> Memsys.create p
+    | Some m ->
+      if Memsys.params m <> p then
+        invalid_arg "Perf.measure: scratch memory system params mismatch";
+      Memsys.clear m;
+      m
+  in
   (* fast-path counters describe the measured replay alone, never warmup
      or earlier runs against this segmentation *)
   Blockcache.reset_counters bc;
+  (* The first replay from empty caches IS the cold measurement, and
+     doubles as the first warmup iteration of the steady one. *)
   Blockcache.replay bc m;
-  build p (Blockcache.trace bc) (Memsys.stats m)
-
-(* Candidate-scoring variant of [measure_steady]: the caller owns a scratch
-   memory system (reused across thousands of candidates) and has hoisted the
-   CPU-model scans, which depend only on the instruction-class column and
-   are therefore invariant under pc retargeting of one base trace.
-   [Memsys.clear] restores exact create-state and a fresh [rebind]
-   segmentation starts with no surviving generation snapshots, so the
-   result is bit-identical to [measure_steady ~warmup p bc] on the same
-   segmentation.  Deliberately bypasses the simulation cache: at thousands
-   of one-off candidate layouts per second, digesting each retargeted trace
-   for a key that will never hit costs more than the replay itself. *)
-let steady_scratch ?(warmup = 3) ~scratch ~issue_cycles ~instr_cycles p bc =
-  if Memsys.params scratch <> p then
-    invalid_arg "Perf.steady_scratch: scratch memory system params mismatch";
-  Memsys.clear scratch;
-  for _ = 1 to warmup do
-    Blockcache.replay bc scratch
-  done;
-  Memsys.reset_stats scratch;
-  Blockcache.reset_counters bc;
-  Blockcache.replay bc scratch;
-  derive p
-    ~length:(Trace.length (Blockcache.trace bc))
-    ~issue_cycles ~instr_cycles
-    (Memsys.stats scratch)
-
-let steady_bc ?(warmup = 3) p bc =
-  cached ~tag:(steady_tag warmup) p (Blockcache.trace bc) (fun () ->
-      measure_steady ~warmup p bc)
-
-let steady ?(warmup = 3) p trace =
-  cached ~tag:(steady_tag warmup) p trace (fun () ->
-      measure_steady ~warmup p (Blockcache.segment p trace))
-
-let cold_and_steady ?(warmup = 3) p trace =
-  let warmup = max warmup 1 in
-  let compute () =
-    let length = Trace.length trace in
-    let issue_cycles = Cpu.issue_cycles p trace in
-    let instr_cycles = issue_cycles +. Cpu.penalty_cycles p trace in
-    let finish stats = derive p ~length ~issue_cycles ~instr_cycles stats in
-    let m = Memsys.create p in
-    let bc = Blockcache.segment p trace in
-    (* The first replay from empty caches IS the cold measurement, and
-       doubles as the first warmup iteration of the steady one. *)
-    Blockcache.replay bc m;
-    let cold = finish (Memsys.stats m) in
+  let cold = report_of bc m in
+  if warmup <= 0 then (cold, cold)
+  else begin
     for _ = 2 to warmup do
       Blockcache.replay bc m
     done;
     Memsys.reset_stats m;
     Blockcache.reset_counters bc;
     Blockcache.replay bc m;
-    (cold, finish (Memsys.stats m))
-  in
-  if not (Simcache.enabled ()) then compute ()
-  else begin
-    let ck = sim_key ~tag:"cold" p trace in
-    let sk = sim_key ~tag:(steady_tag warmup) p trace in
-    match
-      ( Option.bind (Simcache.find ck) (decode_report p),
-        Option.bind (Simcache.find sk) (decode_report p) )
-    with
-    | Some c, Some s -> (c, s)
-    | _ ->
-      let c, s = compute () in
-      Simcache.add ck (encode_report c);
-      Simcache.add sk (encode_report s);
-      (c, s)
+    (cold, report_of bc m)
   end
+
+let steady ?warmup p trace = snd (measure ?warmup (Blockcache.segment p trace))
 
 let pp_report fmt r =
   Format.fprintf fmt

@@ -3,21 +3,18 @@
     Table 7 quantities.
 
     Two modes reproduce the paper's two measurements:
-    - {!cold}: single replay from empty caches — the Table 6 cache statistics
+    - cold: a single replay from empty caches — the Table 6 cache statistics
       (large cold b-cache miss counts, zero b-cache replacement misses unless
       the layout conflicts).
-    - {!steady}: the trace is replayed [warmup + 1] times and the final
-      replay is measured — the per-invocation behaviour of a long ping-pong
-      run, in which the b-cache is warm and the primary caches exhibit their
+    - steady: the trace is replayed [warmup + 1] times and the final replay
+      is measured — the per-invocation behaviour of a long ping-pong run, in
+      which the b-cache is warm and the primary caches exhibit their
       per-path capacity and conflict misses.  This corresponds to the
-      cycle-counter timings of Table 7. *)
+      cycle-counter timings of Table 7.
 
-(** Every entry point consults the {!Simcache} when it is enabled: reports
-    are keyed by the measurement kind, the simulation parameters and the
-    trace's replay identity ({!Trace.digest}), and a hit skips segmentation
-    and simulation entirely.  Cached reports are bit-identical to
-    recomputed ones — the store holds exactly the non-derivable words and
-    the derived fields re-derive through the same pure code path. *)
+    {!measure} is the one replay kernel: it takes a {!Blockcache}
+    segmentation and returns both reports.  {!cold} and {!steady} are the
+    same measurements straight from a trace. *)
 
 type report = {
   length : int;  (** trace length in instructions *)
@@ -32,57 +29,33 @@ type report = {
 }
 
 val cold : Params.t -> Trace.t -> report
-
-val cold_bc : Params.t -> Blockcache.t -> report
-(** {!cold} from an existing segmentation: one chunked replay against a
-    fresh memory system — bit-identical to [cold p (Blockcache.trace bc)],
-    and the cold half of an incremental layout-sweep step where the rebound
-    segmentation already exists. *)
+(** The cold report: one per-instruction replay from empty caches. *)
 
 val steady : ?warmup:int -> Params.t -> Trace.t -> report
-(** Default [warmup] is 3.  Warmup replays after the first go through the
-    {!Blockcache} fast path when it is enabled; the reports are
-    bit-identical either way. *)
+(** The steady report, [snd (measure ?warmup (Blockcache.segment p trace))].
+    Default [warmup] is 3. *)
 
-val steady_bc : ?warmup:int -> Params.t -> Blockcache.t -> report
-(** {!steady} from an existing segmentation — the incremental step of a
-    layout sweep: segment the base trace once, then per candidate layout
-    {!Blockcache.rebind} the pc-rewritten trace and measure, skipping both
-    re-segmentation and the per-instruction warmup replays.
+val measure :
+  ?warmup:int -> ?scratch:Memsys.t -> Blockcache.t -> report * report
+(** [(cold, steady)] of the segmentation's trace under its params
+    ({!Blockcache.params}), from one memory system: the first replay from
+    empty caches is the cold report and doubles as the first of [warmup]
+    warmup replays; the final replay is the steady report (with
+    [warmup <= 0] there is only the first replay, and both reports are
+    it).  Bit-identical to [(cold p trace, steady ~warmup p trace)].  Warm
+    replays go through the {!Blockcache} fast path when it is enabled.
 
     Resets the segmentation's replay counters
-    ({!Blockcache.reset_counters}) after warmup, immediately before the
-    measured replay, so the counters always describe the measured replay
-    alone.  {!steady} and {!cold_and_steady} do the same. *)
+    ({!Blockcache.reset_counters}) immediately before the measured replay,
+    so they describe that replay alone.
 
-val steady_scratch :
-  ?warmup:int ->
-  scratch:Memsys.t ->
-  issue_cycles:float ->
-  instr_cycles:float ->
-  Params.t ->
-  Blockcache.t ->
-  report
-(** {!steady_bc} for candidate scoring at high rate: the caller supplies a
-    reusable scratch memory system (cleared here via {!Memsys.clear}, so
-    no per-candidate allocation of the 2MB b-cache's set arrays) and the
-    hoisted CPU-model scan results — {!Cpu.issue_cycles} and
-    {!Cpu.perfect_memory_cycles} of the base trace, which depend only on
-    the instruction-class column and are invariant under pc retargeting.
-    Bit-identical to [steady_bc ~warmup p bc] on the same segmentation
-    given matching hoisted cycles, but never consults the {!Simcache}
-    (one-off candidate digests cannot hit and keying them costs more than
-    the replay).  [scratch] must have been created with exactly [p]
-    (checked), and [bc] must be a fresh {!Blockcache.rebind} — a
-    segmentation holding generation snapshots from before the clear would
-    fake residency. *)
+    [scratch] replaces the fresh memory system: it is cleared here
+    ({!Memsys.clear}), so candidate scoring allocates no 2MB b-cache per
+    call.  It must have been created with exactly [Blockcache.params bc]
+    (checked), and [bc] must not hold generation snapshots against it from
+    before this call — a fresh {!Blockcache.segment} or
+    {!Blockcache.rebind} holds none.
 
-val cold_and_steady : ?warmup:int -> Params.t -> Trace.t -> report * report
-(** Both measurements from one segmentation and one memory system: the
-    first replay from empty caches is the cold report and doubles as the
-    first warmup iteration of the steady one, and the CPU-model scans run
-    once instead of twice per report.  Bit-identical to
-    [(cold p trace, steady ~warmup p trace)].  [warmup] is clamped to at
-    least 1 (the shared first replay requires one warmup iteration). *)
+    @raise Invalid_argument if [scratch]'s params differ. *)
 
 val pp_report : Format.formatter -> report -> unit

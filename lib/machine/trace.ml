@@ -24,10 +24,6 @@ type t = {
   intern_tbl : (string, int) Hashtbl.t;
   mutable funcs : string array;
   mutable n_funcs : int;
-  mutable digest_memo : (int * string) option;
-      (* [(len, digest)] — the public API only appends (len grows) or
-         copies, so a memo taken at length [len] stays valid while the
-         length is unchanged *)
 }
 
 let kind_none = 0
@@ -45,8 +41,7 @@ let create () =
     len = 0;
     intern_tbl = Hashtbl.create 32;
     funcs = [||];
-    n_funcs = 0;
-    digest_memo = None }
+    n_funcs = 0 }
 
 let length t = t.len
 
@@ -146,9 +141,7 @@ let map_pcs f t =
     addrs = Array.sub t.addrs 0 t.len;
     fids = Array.sub t.fids 0 t.len;
     intern_tbl = Hashtbl.copy t.intern_tbl;
-    funcs = Array.copy t.funcs;
-    (* the rewritten pcs change the replay content; never inherit *)
-    digest_memo = None }
+    funcs = Array.copy t.funcs }
 
 (* Like [map_pcs] but with the rewritten pc column supplied directly:
    a layout-search scorer precomputes, once per base trace, where each
@@ -162,7 +155,7 @@ let remap_pcs t pcs =
      [len], appends to [t] only touch indices >= [len] (or reallocate),
      and the result's own [pcs] is at capacity so appending to it forces
      a reallocation of every column before anything shared is written *)
-  { t with pcs; digest_memo = None }
+  { t with pcs }
 
 let class_counts t =
   let counts = Array.make Instr.n_classes 0 in
@@ -283,161 +276,3 @@ let of_string s =
   let t = create () in
   String.split_on_char '\n' s |> List.iter (fun l -> if l <> "" then parse_line t l);
   t
-
-(* ----- compact block encoding -------------------------------------------- *)
-
-(* Block-level encoding of the replay-relevant columns: instead of five
-   per-instruction SoA rows, each maximal straight-line run (consecutive
-   pcs, like the {!Blockcache} segmentation) becomes one record
-
-     [start_pc | len lor (nrefs lsl 24) | class nibbles... | ref words...]
-
-   where the pc column collapses to the block's start (every other pc is
-   the implicit +4 delta), classes pack 16 per word, and each data
-   reference packs position-in-block, kind and address into a single word
-   ([pos lsl 48 lor kind lsl 46 lor addr]).  The whole trace lands in one
-   flat [Bigarray] — the persistent form the simulation cache digests, and
-   the shape the block-cache replay tables mirror. *)
-
-type compact =
-  (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let compact_magic = 0x504C544300000001L (* "PLTC", format 1 *)
-
-(* [pos] must fit the 16-bit field of a ref word; cap runs well below it *)
-let max_block_len = 4096
-
-let max_compact_addr = 1 lsl 46
-
-let compact t =
-  let n = t.len in
-  (* first pass: count blocks and words *)
-  let nblocks = ref 0 in
-  let words = ref 3 in
-  let i = ref 0 in
-  while !i < n do
-    let start = !i in
-    let fin = min n (start + max_block_len) in
-    let j = ref (start + 1) in
-    while !j < fin && t.pcs.(!j) = t.pcs.(!j - 1) + 4 do
-      incr j
-    done;
-    let len = !j - start in
-    let nrefs = ref 0 in
-    for k = start to !j - 1 do
-      if t.kinds.(k) <> 0 then incr nrefs
-    done;
-    incr nblocks;
-    words := !words + 2 + ((len + 15) lsr 4) + !nrefs;
-    i := !j
-  done;
-  let buf =
-    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout !words
-  in
-  Bigarray.Array1.unsafe_set buf 0 compact_magic;
-  Bigarray.Array1.unsafe_set buf 1 (Int64.of_int n);
-  Bigarray.Array1.unsafe_set buf 2 (Int64.of_int !nblocks);
-  let w = ref 3 in
-  let emit v =
-    Bigarray.Array1.unsafe_set buf !w (Int64.of_int v);
-    incr w
-  in
-  let i = ref 0 in
-  while !i < n do
-    let start = !i in
-    let fin = min n (start + max_block_len) in
-    let j = ref (start + 1) in
-    while !j < fin && t.pcs.(!j) = t.pcs.(!j - 1) + 4 do
-      incr j
-    done;
-    let len = !j - start in
-    let nrefs = ref 0 in
-    for k = start to !j - 1 do
-      if t.kinds.(k) <> 0 then incr nrefs
-    done;
-    if t.pcs.(start) < 0 then invalid_arg "Trace.compact: negative pc";
-    emit t.pcs.(start);
-    emit (len lor (!nrefs lsl 24));
-    (* class nibbles, 16 per word, low nibble first *)
-    let k = ref start in
-    while !k < !j do
-      let word = ref 0 in
-      for b = 0 to 15 do
-        if !k + b < !j then
-          word := !word lor (t.clss.(!k + b) lsl (4 * b))
-      done;
-      emit !word;
-      k := !k + 16
-    done;
-    for k = start to !j - 1 do
-      let kind = t.kinds.(k) in
-      if kind <> 0 then begin
-        let addr = t.addrs.(k) in
-        if addr < 0 || addr >= max_compact_addr then
-          invalid_arg "Trace.compact: address out of range";
-        emit (((k - start) lsl 48) lor (kind lsl 46) lor addr)
-      end
-    done;
-    i := !j
-  done;
-  assert (!w = !words);
-  buf
-
-let of_compact (buf : compact) =
-  if Bigarray.Array1.dim buf < 3 || Bigarray.Array1.get buf 0 <> compact_magic
-  then invalid_arg "Trace.of_compact: bad header";
-  let n = Int64.to_int (Bigarray.Array1.get buf 1) in
-  let nblocks = Int64.to_int (Bigarray.Array1.get buf 2) in
-  let t = create () in
-  if n > 0 then grow t n;
-  let w = ref 3 in
-  let next () =
-    let v = Int64.to_int (Bigarray.Array1.unsafe_get buf !w) in
-    incr w;
-    v
-  in
-  for _ = 1 to nblocks do
-    let start_pc = next () in
-    let hdr = next () in
-    let len = hdr land 0xFF_FFFF in
-    let nrefs = hdr lsr 24 in
-    let base = t.len in
-    let k = ref 0 in
-    while !k < len do
-      let word = next () in
-      for b = 0 to 15 do
-        if !k + b < len then begin
-          let i = base + !k + b in
-          t.pcs.(i) <- start_pc + (4 * (!k + b));
-          t.clss.(i) <- (word lsr (4 * b)) land 0xF;
-          t.kinds.(i) <- 0;
-          t.addrs.(i) <- 0;
-          t.fids.(i) <- -1
-        end
-      done;
-      k := !k + 16
-    done;
-    t.len <- base + len;
-    for _ = 1 to nrefs do
-      let v = next () in
-      let pos = v lsr 48 in
-      t.kinds.(base + pos) <- (v lsr 46) land 3;
-      t.addrs.(base + pos) <- v land (max_compact_addr - 1)
-    done
-  done;
-  if t.len <> n then invalid_arg "Trace.of_compact: truncated";
-  t
-
-let digest t =
-  match t.digest_memo with
-  | Some (len, d) when len = t.len -> d
-  | _ ->
-    let buf = compact t in
-    let words = Bigarray.Array1.dim buf in
-    let bytes = Bytes.create (8 * words) in
-    for i = 0 to words - 1 do
-      Bytes.set_int64_le bytes (8 * i) (Bigarray.Array1.unsafe_get buf i)
-    done;
-    let d = Digest.bytes bytes in
-    t.digest_memo <- Some (t.len, d);
-    d

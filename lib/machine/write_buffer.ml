@@ -11,13 +11,6 @@ type t = {
   mutable merges : int;
   mutable writes : int;
   mutable retires : int;
-  mutable gen : int;
-      (* generation counter, bumped on every content change (a write that
-         buffers or retires, and a drain).  A merge leaves the buffered
-         blocks unchanged and does not bump it — so a replayed block whose
-         stores all merged last time provably merges again while the
-         generation still matches, the write-buffer half of the d-side
-         memoization trick. *)
 }
 
 type outcome =
@@ -41,8 +34,7 @@ let create ~depth ~block_bytes =
     count = 0;
     merges = 0;
     writes = 0;
-    retires = 0;
-    gen = 0 }
+    retires = 0 }
 
 let wrap t i = if t.depth_mask >= 0 then i land t.depth_mask else i mod t.depth
 
@@ -62,7 +54,6 @@ let write t addr =
   else if t.count < t.depth then begin
     t.buf.(wrap t (t.head + t.count)) <- block;
     t.count <- t.count + 1;
-    t.gen <- t.gen + 1;
     Buffered
   end
   else begin
@@ -71,7 +62,6 @@ let write t addr =
     t.buf.(t.head) <- block;
     t.head <- wrap t (t.head + 1);
     t.retires <- t.retires + 1;
-    t.gen <- t.gen + 1;
     Retired oldest
   end
 
@@ -80,20 +70,7 @@ let drain t =
   t.head <- 0;
   t.count <- 0;
   t.retires <- t.retires + List.length out;
-  t.gen <- t.gen + 1;
   out
-
-let generation t = t.gen
-
-(* Batch credit for a block whose stores are proven to all merge (the
-   buffer generation is unchanged since a replay in which they all merged):
-   exactly the statistics effect of [n] merging [write]s — content, head
-   and count untouched. *)
-let credit_merges t n =
-  if n > 0 then begin
-    t.writes <- t.writes + n;
-    t.merges <- t.merges + n
-  end
 
 let occupancy t = t.count
 
@@ -108,12 +85,10 @@ let reset_stats t =
   t.writes <- 0;
   t.retires <- 0
 
-(* Restore the exact state of a fresh [create]; see Cache.clear for the
-   generation-snapshot caveat, which applies to wbgens snapshots too. *)
+(* Restore the exact state of a fresh [create]. *)
 let clear t =
   t.head <- 0;
   t.count <- 0;
   t.merges <- 0;
   t.writes <- 0;
-  t.retires <- 0;
-  t.gen <- 0
+  t.retires <- 0

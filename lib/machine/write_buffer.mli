@@ -29,20 +29,4 @@ val reset_stats : t -> unit
 
 val clear : t -> unit
 (** Restore the exact state of a fresh {!create}: empty buffer, zeroed
-    statistics, generation back at 0.  Same snapshot caveat as
-    {!Cache.clear}: any generation snapshot taken before the clear must
-    not survive it. *)
-
-val generation : t -> int
-(** Content-generation counter: bumped on every write that buffers or
-    retires and on every {!drain}; merges leave it unchanged.  While the
-    generation matches a snapshot taken during a replay in which a block's
-    stores all merged, the buffer holds the same blocks, so those stores
-    provably merge again — the write-buffer side of the d-side memoized
-    fast path. *)
-
-val credit_merges : t -> int -> unit
-(** [credit_merges t n] records [n] merging writes in one step: exactly the
-    statistics effect of [n] {!write} calls returning [Merged].  Only valid
-    when the caller has proven all [n] writes would merge (via
-    {!generation}). *)
+    statistics. *)

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Smoke script: full build, test suite (with the warm-block fast path on
-# and off), a short multi-seed fault soak, the latency-attribution and
-# timeline exports (with their consistency / JSON well-formedness
-# checks), a quick multi-flow sweep, a quick latency-provenance spans
+# and off, and with the span ledger knob pinned off), a short multi-seed
+# fault soak, the latency-attribution and timeline exports (with their
+# consistency / JSON well-formedness checks), a quick multi-flow sweep, a quick latency-provenance spans
 # report (with its bit-exact conservation check), a quick host-lifecycle
 # chaos sweep, a quick fabric incast export, a pair bit-identity check
 # plus replays of the committed chaos repro files, a quick end-to-end
@@ -17,20 +17,10 @@ dune runtest
 # disabled: every simulation then takes the per-instruction reference
 # path the fast path is checked against
 PROTOLAT_FASTPATH=0 dune runtest --force
-# ... and with the on-disk simulation cache explicitly off (the suite
-# already defaults it off; this leg pins the knob itself)
-PROTOLAT_SIMCACHE=0 dune runtest --force
 # ... and with the span ledger knob pinned off: engine results must be
 # bit-identical either way, and the span tests force the ledger on
 # explicitly so they still exercise it under this leg
 PROTOLAT_SPANS=0 dune runtest --force
-# cross-process simulation-cache reuse: the same quick bench table twice
-# against one shared store — the second invocation must serve its replay
-# measurements from the cache populated by the first
-SIMCACHE_TMP=$(mktemp -t protolat-ci-simcache.XXXXXX)
-trap 'rm -f "$SIMCACHE_TMP"' EXIT
-PROTOLAT_SIMCACHE="$SIMCACHE_TMP" dune exec bench/main.exe -- quick only table1
-PROTOLAT_SIMCACHE="$SIMCACHE_TMP" dune exec bench/main.exe -- quick only table1
 dune exec bin/protolat_cli.exe -- soak --quick --seeds 2
 dune build @profile-quick
 dune build @trace-quick
@@ -44,7 +34,7 @@ dune build @search-quick
 # contract; the star:2 detour through the switch must differ)
 PAIR_A=$(mktemp -t protolat-ci-pair-a.XXXXXX)
 PAIR_B=$(mktemp -t protolat-ci-pair-b.XXXXXX)
-trap 'rm -f "$SIMCACHE_TMP" "$PAIR_A" "$PAIR_B"' EXIT
+trap 'rm -f "$PAIR_A" "$PAIR_B"' EXIT
 dune exec bin/protolat_cli.exe -- run -s tcpip -c ALL -r 8 > "$PAIR_A"
 dune exec bin/protolat_cli.exe -- run -s tcpip -c ALL -r 8 --topo pair --hosts 2 > "$PAIR_B"
 diff "$PAIR_A" "$PAIR_B"

@@ -15,9 +15,10 @@ let with_fastpath b f =
   M.Blockcache.set_enabled b;
   Fun.protect ~finally:(fun () -> M.Blockcache.set_enabled was) f
 
-let run_spec ?seed ?layout stack v =
+let run_spec ?seed ?layout ?params stack v =
   P.Engine.run
-    (P.Engine.Spec.make ?seed ?layout ~stack ~config:(P.Config.make v) ())
+    (P.Engine.Spec.make ?seed ?layout ?params ~stack ~config:(P.Config.make v)
+       ())
 
 let check_report name (a : M.Perf.report) (b : M.Perf.report) =
   Alcotest.(check bool) (name ^ ": reports bit-identical") true (a = b)
@@ -27,16 +28,20 @@ let check_report name (a : M.Perf.report) (b : M.Perf.report) =
 (* Every observable of a run — per-roundtrip RTTs, cold/steady replay
    reports, the unified metrics dump, and per-function attribution of the
    collected trace — must be byte-identical with the fast path on and off,
-   across stacks, versions (hence layouts) and seeds. *)
+   across stacks, versions (hence layouts), seeds, and a thrashing 512 B
+   d-cache where nearly every warm run's loads miss. *)
 let test_engine_onoff () =
+  let d512 = { M.Params.default with M.Params.dcache_bytes = 512 } in
   List.iter
-    (fun (stack, v, seed) ->
+    (fun (stack, v, seed, params) ->
       let name =
-        Printf.sprintf "%s/%s seed=%d" (P.Engine.stack_name stack)
-          (P.Config.version_name v) seed
+        Printf.sprintf "%s/%s seed=%d d-cache=%dB" (P.Engine.stack_name stack)
+          (P.Config.version_name v) seed params.M.Params.dcache_bytes
       in
-      let on = with_fastpath true (fun () -> run_spec ~seed stack v) in
-      let off = with_fastpath false (fun () -> run_spec ~seed stack v) in
+      let on = with_fastpath true (fun () -> run_spec ~seed ~params stack v) in
+      let off =
+        with_fastpath false (fun () -> run_spec ~seed ~params stack v)
+      in
       Alcotest.(check bool) (name ^ ": rtts identical") true
         (on.P.Engine.rtts = off.P.Engine.rtts);
       check_report (name ^ " steady") on.P.Engine.steady off.P.Engine.steady;
@@ -45,15 +50,17 @@ let test_engine_onoff () =
         (Obs.Metrics.to_json off.P.Engine.metrics)
         (Obs.Metrics.to_json on.P.Engine.metrics);
       let attrib (r : P.Engine.run_result) =
-        Obs.Attrib.profile M.Params.default r.P.Engine.client_image
-          r.P.Engine.trace
+        Obs.Attrib.profile params r.P.Engine.client_image r.P.Engine.trace
       in
       Alcotest.(check bool) (name ^ ": attribution identical") true
         (attrib on = attrib off))
-    [ (P.Engine.Tcpip, P.Config.Std, 42);
-      (P.Engine.Tcpip, P.Config.All, 7);
-      (P.Engine.Tcpip, P.Config.Bad, 42);
-      (P.Engine.Rpc, P.Config.Clo, 3) ]
+    [ (P.Engine.Tcpip, P.Config.Std, 42, M.Params.default);
+      (P.Engine.Tcpip, P.Config.All, 7, M.Params.default);
+      (P.Engine.Tcpip, P.Config.Bad, 42, M.Params.default);
+      (P.Engine.Rpc, P.Config.Clo, 3, M.Params.default);
+      (P.Engine.Tcpip, P.Config.Std, 42, d512);
+      (P.Engine.Tcpip, P.Config.Out, 7, d512);
+      (P.Engine.Rpc, P.Config.Clo, 3, d512) ]
 
 (* ----- Blockcache: replay equivalence on real traces ----------------------- *)
 
@@ -221,11 +228,126 @@ let test_geometry_guard () =
   Alcotest.(check int) "geometry mismatch keeps every run slow" 0
     (M.Blockcache.fast_runs bc)
 
+(* ----- differential oracle ------------------------------------------------- *)
+
+(* Random traces x random geometries, Blockcache replay (fast path on)
+   against the per-instruction reference, field by field after every
+   replay.  A trace is a walk over a small pool of straight-line segments
+   (so runs repeat within a trace as well as across replays) broken by
+   jumps anywhere in 64 KB of code; data references come from a few
+   repeated lines, lines 32 KB apart (conflicting in every cache up to
+   32 KB), or anywhere.  I- and d-cache sizes range over powers of two from
+   512 B to 32 KB, so thrashing geometries are common.  After three
+   replays the segmentation is rebound to a random permutation of 64-byte
+   code chunks and both sides carry on against the same, already warm,
+   memory systems. *)
+
+type oracle_case = {
+  icache : int;
+  dcache : int;
+  insns : (int * Instr.cls * Trace.access option) list;
+  chunk_seed : int;
+}
+
+let gen_oracle_case =
+  let open QCheck.Gen in
+  let pow2_size = map (fun k -> 512 lsl k) (int_bound 6) in
+  let daddr =
+    map2
+      (fun line off -> 0x200000 + (line * 32) + off)
+      (frequency
+         [ (3, int_bound 15);
+           (2, map (fun k -> k * 1024) (int_bound 7));
+           (1, int_bound 4095) ])
+      (int_bound 31)
+  in
+  let insn =
+    frequency
+      [ (6, return (Instr.Alu, None));
+        (2, map (fun a -> (Instr.Load, Some (Trace.Read a))) daddr);
+        (2, map (fun a -> (Instr.Store, Some (Trace.Write a))) daddr);
+        (1, return (Instr.Br_taken, None)) ]
+  in
+  let segment =
+    map2
+      (fun start body ->
+        List.mapi (fun i (cls, access) -> (start + (4 * i), cls, access)) body)
+      (* starts leave room for 24 instructions below 64 KB *)
+      (map (fun w -> 4 * w) (int_bound (16383 - 24)))
+      (list_size (int_range 1 24) insn)
+  in
+  let* icache = pow2_size and* dcache = pow2_size in
+  let* pool = list_size (int_range 1 8) segment in
+  let pool = Array.of_list pool in
+  let* walk = list_size (int_range 1 30) (int_bound (Array.length pool - 1)) in
+  let+ chunk_seed = int in
+  { icache;
+    dcache;
+    insns = List.concat_map (fun i -> pool.(i)) walk;
+    chunk_seed }
+
+let print_oracle_case c =
+  Printf.sprintf "icache=%dB dcache=%dB length=%d chunk_seed=%d" c.icache
+    c.dcache (List.length c.insns) c.chunk_seed
+
+(* A bijection on [0, 64 KB) code addresses moving whole 64-byte chunks. *)
+let chunk_permutation seed =
+  let n = 1024 in
+  let perm = Array.init n Fun.id in
+  let rng = Random.State.make [| seed |] in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- x
+  done;
+  fun pc -> (perm.(pc lsr 6) lsl 6) lor (pc land 63)
+
+let stats_fields (s : M.Memsys.stats) =
+  ( s.M.Memsys.icache,
+    s.M.Memsys.dwb,
+    s.M.Memsys.bcache,
+    Int64.bits_of_float s.M.Memsys.stall_cycles )
+
+let prop_replay_oracle =
+  QCheck.Test.make ~name:"blockcache replay matches Memsys.run" ~count:150
+    (QCheck.make ~print:print_oracle_case gen_oracle_case)
+    (fun c ->
+      let p =
+        { M.Params.default with
+          M.Params.icache_bytes = c.icache;
+          dcache_bytes = c.dcache }
+      in
+      let trace = Trace.create () in
+      List.iter
+        (fun (pc, cls, access) -> Trace.add trace ~pc ~cls ?access ())
+        c.insns;
+      let m = M.Memsys.create p and reference = M.Memsys.create p in
+      let agree label bc t =
+        for i = 1 to 3 do
+          M.Blockcache.replay bc m;
+          ignore (M.Memsys.run reference t);
+          if
+            stats_fields (M.Memsys.stats m)
+            <> stats_fields (M.Memsys.stats reference)
+          then
+            QCheck.Test.fail_reportf "%s replay %d: %a@ vs reference %a" label i
+              M.Memsys.pp_stats (M.Memsys.stats m) M.Memsys.pp_stats
+              (M.Memsys.stats reference)
+        done
+      in
+      with_fastpath true (fun () ->
+          let bc = M.Blockcache.segment p trace in
+          agree "segment" bc trace;
+          let trace' = Trace.map_pcs (chunk_permutation c.chunk_seed) trace in
+          agree "rebind" (M.Blockcache.rebind bc trace') trace');
+      true)
+
 (* ----- incremental layout sweep -------------------------------------------- *)
 
 (* pc_map retargets a trace between two placements of the same units, and
-   rebind + steady_bc must equal a from-scratch segmentation and steady
-   replay of the retargeted trace. *)
+   rebind + measure must equal a from-scratch segmentation and cold/steady
+   replays of the retargeted trace. *)
 let test_rebind_pc_map () =
   let config = P.Config.make P.Config.Clo in
   let a = P.Engine.layout_for config P.Engine.Tcpip ~layout:P.Config.Bipartite () in
@@ -239,9 +361,9 @@ let test_rebind_pc_map () =
     (Trace.length trace');
   let p = M.Params.default in
   let bc = M.Blockcache.segment p trace in
-  let via_rebind = M.Perf.steady_bc p (M.Blockcache.rebind bc trace') in
-  let from_scratch = M.Perf.steady p trace' in
-  check_report "rebind vs scratch" via_rebind from_scratch
+  let cold, steady = M.Perf.measure (M.Blockcache.rebind bc trace') in
+  check_report "rebind vs scratch: cold" cold (M.Perf.cold p trace');
+  check_report "rebind vs scratch: steady" steady (M.Perf.steady p trace')
 
 (* The incremental sweep (one protocol simulation, per-layout pc rewrite +
    block-cache replay) must report exactly what full per-layout
@@ -273,6 +395,7 @@ let suite =
       Alcotest.test_case "fresh memsys rebinds" `Quick
         test_fresh_memsys_rebinds;
       Alcotest.test_case "geometry guard" `Quick test_geometry_guard;
+      QCheck_alcotest.to_alcotest prop_replay_oracle;
       Alcotest.test_case "engine fast path on/off" `Slow test_engine_onoff;
       Alcotest.test_case "rebind + pc_map" `Quick test_rebind_pc_map;
       Alcotest.test_case "layout sweep equivalence" `Slow
