@@ -326,85 +326,83 @@ let run_json () =
   let search_wall = Unix.gettimeofday () -. t5 in
   let search_cell = List.hd search.P.Layoutsearch.cells in
   let _, search_named_us = P.Layoutsearch.best_named search_cell in
-  let buf = Buffer.create 2048 in
+  let module J = Protolat_obs.Json in
+  let module Hist = Protolat_util.Stats.Hist in
   let stack_json stack =
-    let entries =
-      List.map
-        (fun v ->
-          let s = P.Experiments.get results stack v in
-          Printf.sprintf "      \"%s\": {\"mean\": %.4f, \"stddev\": %.4f}"
-            (P.Config.version_name v)
-            s.P.Engine.rtt.Protolat_util.Stats.mean
-            s.P.Engine.rtt.Protolat_util.Stats.stddev)
-        P.Paper.version_order
-    in
-    String.concat ",\n" entries
+    J.Obj
+      (List.map
+         (fun v ->
+           let s = P.Experiments.get results stack v in
+           ( P.Config.version_name v,
+             J.Obj
+               [ ("mean", J.Num s.P.Engine.rtt.Protolat_util.Stats.mean);
+                 ("stddev", J.Num s.P.Engine.rtt.Protolat_util.Stats.stddev)
+               ] ))
+         P.Paper.version_order)
   in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"schema_version\": %d,\n"
-       Protolat_obs.Json.schema_version);
-  Buffer.add_string buf (Printf.sprintf "  \"rev\": \"%s\",\n" rev);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"timestamp\": \"%s\",\n" (timestamp ()));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"quick\": %b,\n  \"jobs\": %d,\n" quick jobs);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"samples\": {\"tcpip\": %d, \"rpc\": %d, \"rounds\": %d},\n"
-       samples_tcp samples_rpc rounds);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"wall_clock_s\": {\"full_sweep\": %.4f, \"single_run_all\": %.4f, \
-        \"layout_sweep_incremental\": %.4f, \"layout_sweep_full\": %.4f, \
-        \"fabric_incast\": %.4f, \"layout_search\": %.4f},\n"
-       sweep_wall single_wall layout_inc_wall layout_full_wall fabric_wall
-       search_wall);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"fabric\": {\"fan_in\": %d, \"completed\": %d, \"total\": %d, \
-        \"p50_us\": %.3f, \"p99_us\": %.3f, \"queue_drops\": %d, \
-        \"retransmits\": %d, \"epochs\": %d, \"digest\": \"%s\"},\n"
-       fabric.P.Incast.fan_in fabric.P.Incast.completed
-       fabric.P.Incast.total
-       fabric.P.Incast.lat.Protolat_util.Stats.Hist.p50
-       fabric.P.Incast.lat.Protolat_util.Stats.Hist.p99
-       fabric.P.Incast.queue_drops fabric.P.Incast.retransmits
-       fabric.P.Incast.epochs fabric.P.Incast.digest);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"layout_search\": {\"budget\": %d, \"evals\": %d, \
-        \"candidates_per_sec\": %.1f, \"best_steady_us\": %.6f, \
-        \"best_named_us\": %.6f, \"digest\": \"%s\"},\n"
-       search_budget search_cell.P.Layoutsearch.evals
-       (P.Layoutsearch.candidates_per_sec search)
-       search_cell.P.Layoutsearch.best_us search_named_us
-       (P.Layoutsearch.digest search));
-  (* whether the fast path was live and how often it engaged, so a perf
-     number is never read without knowing what produced it *)
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"replay\": {\"fastpath_enabled\": %b, \"runs_per_s\": %.0f, \
-        \"fast_runs\": %d, \"slow_runs\": %d},\n"
-       (Protolat_machine.Blockcache.enabled ())
-       replay_runs_per_s
-       (Protolat_machine.Blockcache.fast_runs replay_bc)
-       (Protolat_machine.Blockcache.slow_runs replay_bc));
-  Buffer.add_string buf "  \"simulated_rtt_us\": {\n";
-  Buffer.add_string buf "    \"tcpip\": {\n";
-  Buffer.add_string buf (stack_json P.Engine.Tcpip);
-  Buffer.add_string buf "\n    },\n    \"rpc\": {\n";
-  Buffer.add_string buf (stack_json P.Engine.Rpc);
-  Buffer.add_string buf "\n    }\n  },\n";
-  (* the single ALL run's unified metrics dump: device/protocol counters
-     and the RTT histogram, so the perf baseline also pins behaviour *)
-  Buffer.add_string buf "  \"metrics\": ";
-  Buffer.add_string buf
-    (Protolat_obs.Metrics.to_json single.P.Engine.metrics);
-  Buffer.add_string buf "\n}\n";
+  let doc =
+    J.Obj
+      [ ("schema_version", J.int J.schema_version);
+        ("rev", J.Str rev);
+        ("timestamp", J.Str (timestamp ()));
+        ("quick", J.Bool quick);
+        ("jobs", J.int jobs);
+        ( "samples",
+          J.Obj
+            [ ("tcpip", J.int samples_tcp);
+              ("rpc", J.int samples_rpc);
+              ("rounds", J.int rounds) ] );
+        ( "wall_clock_s",
+          J.Obj
+            [ ("full_sweep", J.Num sweep_wall);
+              ("single_run_all", J.Num single_wall);
+              ("layout_sweep_incremental", J.Num layout_inc_wall);
+              ("layout_sweep_full", J.Num layout_full_wall);
+              ("fabric_incast", J.Num fabric_wall);
+              ("layout_search", J.Num search_wall) ] );
+        ( "fabric",
+          J.Obj
+            [ ("fan_in", J.int fabric.P.Incast.fan_in);
+              ("completed", J.int fabric.P.Incast.completed);
+              ("total", J.int fabric.P.Incast.total);
+              ("p50_us", J.Num fabric.P.Incast.lat.Hist.p50);
+              ("p99_us", J.Num fabric.P.Incast.lat.Hist.p99);
+              ("queue_drops", J.int fabric.P.Incast.queue_drops);
+              ("retransmits", J.int fabric.P.Incast.retransmits);
+              ("epochs", J.int fabric.P.Incast.epochs);
+              ("digest", J.Str fabric.P.Incast.digest) ] );
+        ( "layout_search",
+          J.Obj
+            [ ("budget", J.int search_budget);
+              ("evals", J.int search_cell.P.Layoutsearch.evals);
+              ( "candidates_per_sec",
+                J.Num (P.Layoutsearch.candidates_per_sec search) );
+              ("best_steady_us", J.Num search_cell.P.Layoutsearch.best_us);
+              ("best_named_us", J.Num search_named_us);
+              ("digest", J.Str (P.Layoutsearch.digest search)) ] );
+        (* whether the fast path was live and how often it engaged, so a
+           perf number is never read without knowing what produced it *)
+        ( "replay",
+          J.Obj
+            [ ( "fastpath_enabled",
+                J.Bool (Protolat_machine.Blockcache.enabled ()) );
+              ("runs_per_s", J.Num replay_runs_per_s);
+              ( "fast_runs",
+                J.int (Protolat_machine.Blockcache.fast_runs replay_bc) );
+              ( "slow_runs",
+                J.int (Protolat_machine.Blockcache.slow_runs replay_bc) ) ] );
+        ( "simulated_rtt_us",
+          J.Obj
+            [ ("tcpip", stack_json P.Engine.Tcpip);
+              ("rpc", stack_json P.Engine.Rpc) ] );
+        (* the single ALL run's unified metrics dump: device/protocol
+           counters and the RTT histogram, so the perf baseline also pins
+           behaviour *)
+        ("metrics", Protolat_obs.Metrics.to_json single.P.Engine.metrics) ]
+  in
   let path = Printf.sprintf "BENCH_%s.json" rev in
   let oc = open_out path in
-  output_string oc (Buffer.contents buf);
+  output_string oc (J.to_string doc ^ "\n");
   close_out oc;
   Printf.printf "sweep %.2fs, single run %.3fs -> wrote %s\n%!" sweep_wall
     single_wall path

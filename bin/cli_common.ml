@@ -128,3 +128,36 @@ let write out data =
     close_out oc;
     Printf.printf "wrote %d bytes to %s\n" (String.length data) path
   | None -> print_string data
+
+(* The one export path of every subcommand: write [text] when given, else
+   the JSON document [doc] printed by Json.to_string, to -o or stdout.
+   Under [check] the printed JSON is parsed back; it must equal [doc],
+   carry the current schema_version (on each element, when the document
+   is an array of documents) and, when [cells] is given, a "cells" array
+   of that length.  Exits 1 on the first mismatch. *)
+let export ?cells ?text ~what ~out ~check doc =
+  let module J = Protolat_obs.Json in
+  let json = J.to_string doc in
+  write out (match text with Some t -> t | None -> json ^ "\n");
+  if check then begin
+    let fail msg =
+      Printf.eprintf "%s JSON %s\n" what msg;
+      exit 1
+    in
+    match J.parse json with
+    | Error msg -> fail ("is malformed: " ^ msg)
+    | Ok v ->
+      if v <> doc then fail "does not read back as the exported value";
+      let docs = match v with J.Arr ds -> ds | d -> [ d ] in
+      List.iter
+        (fun d ->
+          if J.member "schema_version" d <> Some (J.int J.schema_version) then
+            fail "has a bad schema_version")
+        docs;
+      Option.iter
+        (fun n ->
+          match J.member "cells" v with
+          | Some (J.Arr cs) when List.length cs = n -> ()
+          | _ -> fail "has the wrong cell count")
+        cells
+  end

@@ -187,22 +187,27 @@ let profile_cmd =
              ~doc:"Also print the classic per-function trace/instruction-mix \
                    tables.")
   in
-  let run stack version versions seed jobs json check cold legacy =
+  let out_arg = Cli_common.out_arg () in
+  let run stack version versions seed jobs json check out cold legacy =
     let versions = if versions = [] then [ version ] else versions in
     let mode = if cold then `Cold else `Steady in
     let profiles =
       P.Profile.collect_many ~seed ~mode ~jobs ~stack versions
     in
+    let doc =
+      match profiles with
+      | [ t ] -> P.Profile.to_json t
+      | ts -> Protolat_obs.Json.Arr (List.map P.Profile.to_json ts)
+    in
+    Cli_common.export ~what:"profile" ~out ~check
+      ?text:
+        (if json then None
+         else Some (String.concat "\n" (List.map P.Profile.render profiles)))
+      doc;
     let failed = ref false in
-    List.iteri
-      (fun i t ->
-        if json then print_string (P.Profile.to_json t)
-        else begin
-          if i > 0 then print_newline ();
-          print_string (P.Profile.render t)
-        end;
-        if json then print_newline ();
-        if check then
+    if check then
+      List.iter
+        (fun t ->
           match P.Profile.check t with
           | Ok () ->
             if not json then
@@ -213,7 +218,7 @@ let profile_cmd =
               (P.Engine.stack_name stack)
               (P.Config.version_name t.P.Profile.version)
               msg)
-      profiles;
+        profiles;
     if legacy then begin
       List.iter
         (fun t ->
@@ -235,7 +240,7 @@ let profile_cmd =
           cache sets.  Deterministic: byte-identical output for the same \
           seed at any --jobs count.")
     Term.(const run $ stack_arg $ version_arg $ versions_arg $ seed_arg
-          $ jobs_arg $ json_arg $ check_arg $ cold_arg $ legacy_arg)
+          $ jobs_arg $ json_arg $ check_arg $ out_arg $ cold_arg $ legacy_arg)
 
 (* ----- spans -------------------------------------------------------------- *)
 
@@ -284,13 +289,14 @@ let spans_cmd =
     let t =
       P.Spans.collect ~seed ~rounds ?layouts ~jobs ~stack ~version ()
     in
-    let doc =
-      if json then P.Spans.to_json t ^ "\n" else P.Spans.render t
-    in
-    Cli_common.write out doc;
-    (match perfetto with
-    | Some path -> Cli_common.write (Some path) (P.Spans.perfetto t)
-    | None -> ());
+    Cli_common.export ~what:"spans" ~out ~check
+      ?text:(if json then None else Some (P.Spans.render t))
+      (P.Spans.to_json t);
+    Option.iter
+      (fun path ->
+        Cli_common.export ~what:"perfetto" ~out:(Some path) ~check
+          (P.Spans.perfetto t))
+      perfetto;
     if check then
       match P.Spans.check t with
       | Ok () ->
@@ -364,22 +370,13 @@ let trace_cmd =
         P.Timeline.collect ~base_seed:seed ~seeds ?fault ~jobs ~stack
           ~version ()
       in
-      let json = P.Timeline.to_json t in
-      (if check then
-         match Protolat_obs.Json.parse json with
-         | Error msg ->
-           Printf.eprintf "trace JSON is malformed: %s\n" msg;
-           exit 1
-         | Ok v ->
-           (match Protolat_obs.Json.member "traceEvents" v with
-           | Some (Protolat_obs.Json.Arr _ as a) ->
-             Printf.eprintf "trace JSON ok: %d events in %d processes\n"
-               (Protolat_obs.Json.array_length a)
-               (List.length t.P.Timeline.processes)
-           | _ ->
-             Printf.eprintf "trace JSON has no traceEvents array\n";
-             exit 1));
-      write out json
+      let doc = P.Timeline.to_json t in
+      Cli_common.export ~what:"trace" ~out ~check doc;
+      if check then
+        Printf.eprintf "trace JSON ok: %d events in %d processes\n"
+          (Protolat_obs.Json.array_length
+             (Option.get (Protolat_obs.Json.member "traceEvents" doc)))
+          (List.length t.P.Timeline.processes)
     end
   in
   Cmd.v
@@ -491,33 +488,12 @@ let mflow_cmd =
         ~stack ~config:(P.Config.make version) ()
     in
     let r = P.Mflow.sweep ~flow_counts:flows ~seeds ~jobs ~workload spec in
-    Cli_common.write out
-      (if json then P.Mflow.to_json r ^ "\n" else P.Mflow.render r);
-    if check then begin
-      (match Protolat_obs.Json.parse (P.Mflow.to_json r) with
-      | Error msg ->
-        Printf.eprintf "mflow JSON is malformed: %s\n" msg;
-        exit 1
-      | Ok v ->
-        let expect field n =
-          match Protolat_obs.Json.member field v with
-          | Some (Protolat_obs.Json.Num got) when int_of_float got = n -> ()
-          | _ ->
-            Printf.eprintf "mflow JSON: bad %s\n" field;
-            exit 1
-        in
-        expect "schema_version" Protolat_obs.Json.schema_version;
-        (match Protolat_obs.Json.member "cells" v with
-        | Some cells
-          when Protolat_obs.Json.array_length cells
-               = List.length flows * seeds ->
-          ()
-        | _ ->
-          Printf.eprintf "mflow JSON: wrong cell count\n";
-          exit 1));
-      if not json then
-        Printf.eprintf "check: JSON well-formed, every cell drained\n"
-    end;
+    Cli_common.export ~what:"mflow" ~out ~check
+      ~cells:(List.length flows * seeds)
+      ?text:(if json then None else Some (P.Mflow.render r))
+      (P.Mflow.to_json r);
+    if check && not json then
+      Printf.eprintf "check: JSON well-formed, every cell drained\n";
     if not (P.Mflow.passed r) then begin
       Printf.eprintf "mflow: a cell failed to drain cleanly\n";
       exit 1
@@ -687,7 +663,8 @@ let chaos_cmd =
             List.iter
               (fun it -> Printf.eprintf "  %s\n" (P.Chaos.item_string it))
               r.P.Chaos.minimal;
-            Cli_common.write out (P.Chaos.case_to_json ~expect mc))
+            Cli_common.export ~what:"chaos repro" ~out ~check
+              (P.Chaos.case_to_json ~expect mc))
       end
       else begin
         let intensities = if quick then [ 0; 2; 4 ] else intensities in
@@ -696,34 +673,13 @@ let chaos_cmd =
           P.Chaos.run_matrix ~flows ~requests ~bug ~topology ~intensities
             ~seeds ~jobs ~seed ()
         in
-        Cli_common.write out
-          (if json then P.Chaos.matrix_to_json cells ^ "\n"
-           else P.Chaos.render cells);
-        if check then begin
-          (match Protolat_obs.Json.parse (P.Chaos.matrix_to_json cells) with
-          | Error msg ->
-            Printf.eprintf "chaos JSON is malformed: %s\n" msg;
-            exit 1
-          | Ok v ->
-            (match Protolat_obs.Json.member "schema_version" v with
-            | Some (Protolat_obs.Json.Num got)
-              when int_of_float got = Protolat_obs.Json.schema_version ->
-              ()
-            | _ ->
-              Printf.eprintf "chaos JSON: bad schema_version\n";
-              exit 1);
-            (match Protolat_obs.Json.member "cells" v with
-            | Some cs
-              when Protolat_obs.Json.array_length cs
-                   = List.length intensities * seeds ->
-              ()
-            | _ ->
-              Printf.eprintf "chaos JSON: wrong cell count\n";
-              exit 1));
-          if not json then
-            Printf.eprintf "check: JSON well-formed, digest %s\n"
-              (P.Chaos.digest cells)
-        end;
+        Cli_common.export ~what:"chaos" ~out ~check
+          ~cells:(List.length intensities * seeds)
+          ?text:(if json then None else Some (P.Chaos.render cells))
+          (P.Chaos.matrix_to_json cells);
+        if check && not json then
+          Printf.eprintf "check: JSON well-formed, digest %s\n"
+            (P.Chaos.digest cells);
         if not (P.Chaos.passed cells) then begin
           Printf.eprintf "chaos: an invariant was violated\n";
           exit 1
@@ -797,32 +753,12 @@ let fabric_cmd =
         port_queue_frames = queue }
     in
     let r = P.Incast.sweep ~wl ~fan_ins ~seeds ~jobs ~seed () in
-    Cli_common.write out
-      (if json then P.Incast.to_json r else P.Incast.render r);
-    if check then begin
-      (match Protolat_obs.Json.parse (P.Incast.to_json r) with
-      | Error msg ->
-        Printf.eprintf "fabric JSON is malformed: %s\n" msg;
-        exit 1
-      | Ok v ->
-        (match Protolat_obs.Json.member "schema_version" v with
-        | Some (Protolat_obs.Json.Num got)
-          when int_of_float got = Protolat_obs.Json.schema_version ->
-          ()
-        | _ ->
-          Printf.eprintf "fabric JSON: bad schema_version\n";
-          exit 1);
-        (match Protolat_obs.Json.member "cells" v with
-        | Some cs
-          when Protolat_obs.Json.array_length cs
-               = List.length fan_ins * seeds ->
-          ()
-        | _ ->
-          Printf.eprintf "fabric JSON: wrong cell count\n";
-          exit 1));
-      if not json then
-        Printf.eprintf "check: JSON well-formed, every cell drained\n"
-    end;
+    Cli_common.export ~what:"fabric" ~out ~check
+      ~cells:(List.length fan_ins * seeds)
+      ?text:(if json then None else Some (P.Incast.render r))
+      (P.Incast.to_json r);
+    if check && not json then
+      Printf.eprintf "check: JSON well-formed, every cell drained\n";
     if not (P.Incast.passed r) then begin
       Printf.eprintf "fabric: a cell failed to drain or broke a law\n";
       exit 1
@@ -891,15 +827,17 @@ let search_cmd =
       | None -> if quick then [ 8 ] else P.Layoutsearch.geometries
     in
     let t = P.Layoutsearch.run ~budget ~seeds ~geometries ~jobs () in
-    let doc =
-      if json then P.Layoutsearch.to_json t ^ "\n"
-      else
-        P.Layoutsearch.render t
-        ^ Printf.sprintf "\ndigest %s  (%.1f s wall, %d jobs)\n"
-            (P.Layoutsearch.digest t) t.P.Layoutsearch.wall_s
-            t.P.Layoutsearch.jobs
-    in
-    Cli_common.write out doc;
+    Cli_common.export ~what:"search" ~out ~check
+      ~cells:(2 * List.length geometries) (* both stacks per geometry *)
+      ?text:
+        (if json then None
+         else
+           Some
+             (P.Layoutsearch.render t
+             ^ Printf.sprintf "\ndigest %s  (%.1f s wall, %d jobs)\n"
+                 (P.Layoutsearch.digest t) t.P.Layoutsearch.wall_s
+                 t.P.Layoutsearch.jobs))
+      (P.Layoutsearch.to_json t);
     if check then
       match P.Layoutsearch.check t with
       | Ok () ->

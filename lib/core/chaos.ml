@@ -681,23 +681,6 @@ let run_matrix ?(flows = 4) ?(requests = 24) ?(horizon_us = 200_000.0)
   in
   Util.Dpool.run ?jobs tasks
 
-let cell_line cl =
-  let o = cl.c_outcome in
-  Printf.sprintf
-    "intensity=%d seed=%d events=%d completed=%d/%d reconnects=%d dups=%d \
-     crashes=%d restarts=%d partitions=%d flushes=%d end=%.0f p50=%.1f \
-     p99=%.1f violations=[%s]"
-    cl.intensity cl.c_case.seed
-    (List.length cl.c_case.sched)
-    o.completed o.total o.reconnects o.duplicate_execs o.o_crashes o.o_restarts
-    o.o_partitions o.o_flushes o.end_us o.lat.Util.Stats.p50
-    o.lat.Util.Stats.p99
-    (String.concat "," (failure_names o))
-
-let digest cells =
-  Digest.to_hex
-    (Digest.string (String.concat "\n" (List.map cell_line cells)))
-
 let passed cells = List.for_all (fun cl -> ok cl.c_outcome) cells
 
 let render cells =
@@ -725,74 +708,86 @@ let render cells =
 
 (* ----- JSON --------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Obs.Json
+
+let cells_json cells =
+  J.Arr
+    (List.map
+       (fun cl ->
+         let o = cl.c_outcome in
+         J.Obj
+           [ ("intensity", J.int cl.intensity);
+             ("seed", J.int cl.c_case.seed);
+             ("events", J.int (List.length cl.c_case.sched));
+             ("bug", J.Str (bug_string cl.c_case.bug));
+             ("topology", J.Str (Ns.Topology.to_string cl.c_case.topology));
+             ("completed", J.int o.completed);
+             ("total", J.int o.total);
+             ("reconnects", J.int o.reconnects);
+             ("duplicate_execs", J.int o.duplicate_execs);
+             ("crashes", J.int o.o_crashes);
+             ("restarts", J.int o.o_restarts);
+             ("partitions", J.int o.o_partitions);
+             ("flushes", J.int o.o_flushes);
+             ("end_us", J.Num o.end_us);
+             ("goodput_rps", J.Num o.goodput_rps);
+             ("p50_us", J.Num o.lat.Util.Stats.p50);
+             ("p99_us", J.Num o.lat.Util.Stats.p99);
+             ( "violations",
+               J.Arr (List.map (fun n -> J.Str n) (failure_names o)) ) ])
+       cells)
+
+(* the digest is taken over the exported cells, so the two cannot drift *)
+let digest_of cells_v = Digest.to_hex (Digest.string (J.to_string cells_v))
+
+let digest cells = digest_of (cells_json cells)
+
+let matrix_to_json cells =
+  let cells_v = cells_json cells in
+  J.Obj
+    [ ("schema_version", J.int J.schema_version);
+      ("kind", J.Str "chaos");
+      ("digest", J.Str (digest_of cells_v));
+      ("cells", cells_v) ]
 
 let item_json i =
-  let base = Printf.sprintf "{\"at_us\": %.0f, " i.at_us in
-  base
-  ^ (match i.ev with
-    | Crash h -> Printf.sprintf "\"event\": \"crash\", \"host\": \"%s\"}" (host_string h)
-    | Restart h ->
-      Printf.sprintf "\"event\": \"restart\", \"host\": \"%s\"}" (host_string h)
-    | Partition_on -> "\"event\": \"partition_on\"}"
-    | Partition_off -> "\"event\": \"partition_off\"}"
-    | Skew (h, s) ->
-      Printf.sprintf "\"event\": \"skew\", \"host\": \"%s\", \"scale\": %.2f}"
-        (host_string h) s
-    | Skew_reset h ->
-      Printf.sprintf "\"event\": \"skew_reset\", \"host\": \"%s\"}"
-        (host_string h)
-    | Cache_flush h ->
-      Printf.sprintf "\"event\": \"cache_flush\", \"host\": \"%s\"}"
-        (host_string h))
+  let host h = ("host", J.Str (host_string h)) in
+  let ev name rest =
+    J.Obj (("at_us", J.Num i.at_us) :: ("event", J.Str name) :: rest)
+  in
+  match i.ev with
+  | Crash h -> ev "crash" [ host h ]
+  | Restart h -> ev "restart" [ host h ]
+  | Partition_on -> ev "partition_on" []
+  | Partition_off -> ev "partition_off" []
+  | Skew (h, s) -> ev "skew" [ host h; ("scale", J.Num s) ]
+  | Skew_reset h -> ev "skew_reset" [ host h ]
+  | Cache_flush h -> ev "cache_flush" [ host h ]
 
 let case_to_json ?(expect = []) c =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"schema_version\": %d,\n" Obs.Json.schema_version);
-  Buffer.add_string b "  \"kind\": \"chaos_repro\",\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"seed\": %d,\n  \"flows\": %d,\n  \"requests\": %d,\n\
-       \  \"horizon_us\": %.0f,\n  \"bug\": \"%s\",\n\
-       \  \"topology\": \"%s\",\n"
-       c.seed c.flows c.requests c.horizon_us (bug_string c.bug)
-       (Ns.Topology.to_string c.topology));
-  Buffer.add_string b
-    (Printf.sprintf "  \"expect\": [%s],\n"
-       (String.concat ", "
-          (List.map (fun n -> Printf.sprintf "\"%s\"" (json_escape n)) expect)));
-  Buffer.add_string b "  \"schedule\": [\n";
-  Buffer.add_string b
-    (String.concat ",\n"
-       (List.map (fun i -> "    " ^ item_json i) (normalize c.sched)));
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  J.Obj
+    [ ("schema_version", J.int J.schema_version);
+      ("kind", J.Str "chaos_repro");
+      ("seed", J.int c.seed);
+      ("flows", J.int c.flows);
+      ("requests", J.int c.requests);
+      ("horizon_us", J.Num c.horizon_us);
+      ("bug", J.Str (bug_string c.bug));
+      ("topology", J.Str (Ns.Topology.to_string c.topology));
+      ("expect", J.Arr (List.map (fun n -> J.Str n) expect));
+      ("schedule", J.Arr (List.map item_json (normalize c.sched))) ]
 
 let case_of_json text =
   let ( let* ) r f = Result.bind r f in
-  let* v = Obs.Json.parse text in
+  let* v = J.parse text in
   let num name v =
-    match Obs.Json.member name v with
-    | Some (Obs.Json.Num f) -> Ok f
+    match J.member name v with
+    | Some (J.Num f) -> Ok f
     | _ -> Error (Printf.sprintf "chaos repro: missing number %S" name)
   in
   let str name v =
-    match Obs.Json.member name v with
-    | Some (Obs.Json.Str s) -> Ok s
+    match J.member name v with
+    | Some (J.Str s) -> Ok s
     | _ -> Error (Printf.sprintf "chaos repro: missing string %S" name)
   in
   let* kind = str "kind" v in
@@ -800,10 +795,25 @@ let case_of_json text =
     if String.equal kind "chaos_repro" then Ok ()
     else Error (Printf.sprintf "chaos repro: kind is %S" kind)
   in
-  let* seed = num "seed" v in
-  let* flows = num "flows" v in
-  let* requests = num "requests" v in
+  (* the ranges run_case demands, checked here so a hostile file is an
+     Error rather than an exception or a silently truncated replay *)
+  let int_in name ~lo ~hi =
+    let* f = num name v in
+    if Float.is_integer f && f >= float_of_int lo && f <= float_of_int hi then
+      Ok (int_of_float f)
+    else
+      Error
+        (Printf.sprintf "chaos repro: %S must be an integer in %d..%d" name lo
+           hi)
+  in
+  let* seed = int_in "seed" ~lo:(-(1 lsl 52)) ~hi:(1 lsl 52) in
+  let* flows = int_in "flows" ~lo:1 ~hi:64 in
+  let* requests = int_in "requests" ~lo:1 ~hi:1000 in
   let* horizon_us = num "horizon_us" v in
+  let* () =
+    if Float.is_finite horizon_us && horizon_us > 0.0 then Ok ()
+    else Error "chaos repro: \"horizon_us\" must be finite and positive"
+  in
   let* bug_s = str "bug" v in
   let* bug =
     match bug_of_string bug_s with
@@ -812,22 +822,22 @@ let case_of_json text =
   in
   let* topology =
     (* absent in pre-fabric (schema ≤ 3) repro files: the historic pair *)
-    match Obs.Json.member "topology" v with
+    match J.member "topology" v with
     | None -> Ok (Ns.Topology.pair ())
-    | Some (Obs.Json.Str s) -> (
+    | Some (J.Str s) -> (
       match Ns.Topology.of_string s with
       | Some t -> Ok t
       | None -> Error (Printf.sprintf "chaos repro: unknown topology %S" s))
     | Some _ -> Error "chaos repro: \"topology\" must be a string"
   in
   let* expect =
-    match Obs.Json.member "expect" v with
-    | Some (Obs.Json.Arr xs) ->
+    match J.member "expect" v with
+    | Some (J.Arr xs) ->
       List.fold_left
         (fun acc x ->
           let* acc = acc in
           match x with
-          | Obs.Json.Str s -> Ok (s :: acc)
+          | J.Str s -> Ok (s :: acc)
           | _ -> Error "chaos repro: expect entries must be strings")
         (Ok []) xs
       |> Result.map List.rev
@@ -873,8 +883,8 @@ let case_of_json text =
     Ok { at_us; ev }
   in
   let* sched =
-    match Obs.Json.member "schedule" v with
-    | Some (Obs.Json.Arr xs) ->
+    match J.member "schedule" v with
+    | Some (J.Arr xs) ->
       List.fold_left
         (fun acc x ->
           let* acc = acc in
@@ -884,50 +894,7 @@ let case_of_json text =
       |> Result.map List.rev
     | _ -> Error "chaos repro: missing \"schedule\" array"
   in
-  Ok
-    ( { seed = int_of_float seed;
-        flows = int_of_float flows;
-        requests = int_of_float requests;
-        horizon_us;
-        bug;
-        topology;
-        sched },
-      expect )
-
-let matrix_to_json cells =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"schema_version\": %d,\n" Obs.Json.schema_version);
-  Buffer.add_string b "  \"kind\": \"chaos\",\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"digest\": \"%s\",\n" (digest cells));
-  Buffer.add_string b "  \"cells\": [\n";
-  let cell_json cl =
-    let o = cl.c_outcome in
-    Printf.sprintf
-      "    {\"intensity\": %d, \"seed\": %d, \"events\": %d, \"bug\": \
-       \"%s\", \"topology\": \"%s\", \"completed\": %d, \"total\": %d, \
-       \"reconnects\": %d, \
-       \"duplicate_execs\": %d, \"crashes\": %d, \"restarts\": %d, \
-       \"partitions\": %d, \"flushes\": %d, \"end_us\": %.0f, \
-       \"goodput_rps\": %.2f, \"p50_us\": %.3f, \"p99_us\": %.3f, \
-       \"violations\": [%s]}"
-      cl.intensity cl.c_case.seed
-      (List.length cl.c_case.sched)
-      (bug_string cl.c_case.bug)
-      (Ns.Topology.to_string cl.c_case.topology)
-      o.completed o.total o.reconnects
-      o.duplicate_execs o.o_crashes o.o_restarts o.o_partitions o.o_flushes
-      o.end_us o.goodput_rps o.lat.Util.Stats.p50 o.lat.Util.Stats.p99
-      (String.concat ", "
-         (List.map
-            (fun n -> Printf.sprintf "\"%s\"" (json_escape n))
-            (failure_names o)))
-  in
-  Buffer.add_string b (String.concat ",\n" (List.map cell_json cells));
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  Ok ({ seed; flows; requests; horizon_us; bug; topology; sched }, expect)
 
 (* ----- shrinking ---------------------------------------------------------- *)
 

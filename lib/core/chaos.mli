@@ -178,13 +178,15 @@ val run_matrix :
     {!Util.Dpool} and bit-identical at any [jobs]. *)
 
 val digest : cell list -> string
-(** MD5 over the canonical cell rendering. *)
+(** MD5 over the printed ["cells"] value of {!matrix_to_json}, so the
+    digest covers exactly what the export carries. *)
 
 val passed : cell list -> bool
 
 val render : cell list -> string
 
-val matrix_to_json : cell list -> string
+val matrix_to_json : cell list -> Obs.Json.v
+(** [{"schema_version","kind":"chaos","digest","cells":[...]}]. *)
 
 (** {1 Shrinking and repro files} *)
 
@@ -200,12 +202,15 @@ val shrink : case -> shrink_result option
     keeping every candidate whose run still exhibits the original run's
     primary violation.  [None] if the case does not fail at all. *)
 
-val case_to_json : ?expect:string list -> case -> string
+val case_to_json : ?expect:string list -> case -> Obs.Json.v
 (** Versioned repro file: the case plus the violation names a replay is
     expected to produce ([expect = []] documents a fixed, clean run). *)
 
 val case_of_json : string -> (case * string list, string) result
-(** Parse a repro file; the second component is the [expect] list. *)
+(** Parse a repro file; the second component is the [expect] list.
+    [Error] unless [seed] is an integer, [flows] an integer in 1..64,
+    [requests] an integer in 1..1000 (the ranges {!run_case} demands) and
+    [horizon_us] finite and positive. *)
 
 val replay : case -> expect:string list -> outcome * bool
 (** Run the case and compare its violation names against [expect]

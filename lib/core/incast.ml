@@ -457,43 +457,40 @@ let render t =
   Buffer.contents b
 
 let to_json t =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"schema_version\": %d,\n" Obs.Json.schema_version);
-  Buffer.add_string b "  \"kind\": \"incast\",\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"topology\": \"star:%d\",\n"
-       (match t.fan_ins with
-       | [] -> 1
-       | fs -> 1 + List.fold_left max 0 fs));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"workload\": {\"req_bytes\": %d, \"resp_bytes\": %d, \
-        \"requests_per_client\": %d, \"stagger_us\": %.1f, \
-        \"switch_latency_us\": %.1f, \"port_queue_frames\": %d},\n"
-       t.wl.req_bytes t.wl.resp_bytes t.wl.requests_per_client
-       t.wl.stagger_us t.wl.switch_latency_us t.wl.port_queue_frames);
-  Buffer.add_string b
-    (Printf.sprintf "  \"seeds\": %d,\n  \"fan_ins\": [%s],\n" t.seeds
-       (String.concat ", " (List.map string_of_int t.fan_ins)));
-  Buffer.add_string b "  \"cells\": [\n";
-  Buffer.add_string b
-    (String.concat ",\n"
-       (List.map
-          (fun c ->
-            Printf.sprintf
-              "    {\"fan_in\": %d, \"seed\": %d, \"completed\": %d, \
-               \"total\": %d, \"p50_us\": %.3f, \"p90_us\": %.3f, \
-               \"p99_us\": %.3f, \"p999_us\": %.3f, \"max_us\": %.3f, \
-               \"retransmits\": %d, \"queue_drops\": %d, \"queue_peak\": \
-               %d, \"epochs\": %d, \"end_us\": %.1f, \"drained\": %b, \
-               \"digest\": \"%s\"}"
-              c.fan_in c.seed c.completed c.total c.lat.Util.Stats.Hist.p50
-              c.lat.Util.Stats.Hist.p90 c.lat.Util.Stats.Hist.p99
-              c.lat.Util.Stats.Hist.p999 c.lat.Util.Stats.Hist.max
-              c.retransmits c.queue_drops c.queue_peak c.epochs c.end_us
-              c.drained c.digest)
-          t.cells));
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let module J = Obs.Json in
+  let cell c =
+    let q = c.lat in
+    J.Obj
+      [ ("fan_in", J.int c.fan_in);
+        ("seed", J.int c.seed);
+        ("completed", J.int c.completed);
+        ("total", J.int c.total);
+        ("p50_us", J.Num q.Util.Stats.Hist.p50);
+        ("p90_us", J.Num q.Util.Stats.Hist.p90);
+        ("p99_us", J.Num q.Util.Stats.Hist.p99);
+        ("p999_us", J.Num q.Util.Stats.Hist.p999);
+        ("max_us", J.Num q.Util.Stats.Hist.max);
+        ("retransmits", J.int c.retransmits);
+        ("queue_drops", J.int c.queue_drops);
+        ("queue_peak", J.int c.queue_peak);
+        ("epochs", J.int c.epochs);
+        ("end_us", J.Num c.end_us);
+        ("drained", J.Bool c.drained);
+        ("digest", J.Str c.digest) ]
+  in
+  J.Obj
+    [ ("schema_version", J.int J.schema_version);
+      ("kind", J.Str "incast");
+      ( "topology",
+        J.Str (Printf.sprintf "star:%d" (1 + List.fold_left max 0 t.fan_ins)) );
+      ( "workload",
+        J.Obj
+          [ ("req_bytes", J.int t.wl.req_bytes);
+            ("resp_bytes", J.int t.wl.resp_bytes);
+            ("requests_per_client", J.int t.wl.requests_per_client);
+            ("stagger_us", J.Num t.wl.stagger_us);
+            ("switch_latency_us", J.Num t.wl.switch_latency_us);
+            ("port_queue_frames", J.int t.wl.port_queue_frames) ] );
+      ("seeds", J.int t.seeds);
+      ("fan_ins", J.Arr (List.map J.int t.fan_ins));
+      ("cells", J.Arr (List.map cell t.cells)) ]

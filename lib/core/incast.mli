@@ -98,6 +98,6 @@ val passed : report -> bool
 
 val render : report -> string
 
-val to_json : report -> string
+val to_json : report -> Protolat_obs.Json.v
 (** Deterministic JSON document ([kind = "incast"], carries
     ["schema_version"] and the largest cell's ["topology"] stamp). *)

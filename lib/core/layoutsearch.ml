@@ -848,60 +848,45 @@ let table (t : t) =
 let render t = Table.render (table t)
 
 let to_json (t : t) =
-  let b = Buffer.create 8192 in
-  Printf.bprintf b "{\"schema_version\":%d,\"budget\":%d,\"seeds\":%d,"
-    Obs.Json.schema_version t.budget t.seeds;
-  Printf.bprintf b "\"jobs\":%d,\"wall_s\":%.3f,\"candidates_per_sec\":%.1f,"
-    t.jobs t.wall_s (candidates_per_sec t);
-  Printf.bprintf b "\"digest\":%S,\"cells\":[" (digest t);
-  List.iteri
-    (fun i (c : cell) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"stack\":%S,\"icache_kb\":%d,\"evals\":%d,"
-        (Engine.stack_name c.stack) c.icache_kb c.evals;
-      Printf.bprintf b "\"eval_s\":%.3f,\"candidates_per_sec\":%.1f,"
-        c.eval_s
-        (if c.eval_s > 0.0 then float_of_int c.evals /. c.eval_s else 0.0);
-      Buffer.add_string b "\"named\":[";
-      List.iteri
-        (fun j (l, us) ->
-          if j > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "{\"layout\":%S,\"steady_us\":%.6f}"
-            (Config.layout_name l) us)
-        c.named;
-      Buffer.add_string b "],\"seeded\":[";
-      List.iteri
-        (fun j l ->
-          if j > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "%S" (Config.layout_name l))
-        c.seeded;
-      Printf.bprintf b "],\"best_us\":%.6f,\"greedy_us\":%.6f," c.best_us
-        c.greedy_us;
-      Buffer.add_string b "\"best_order\":[";
-      List.iteri
-        (fun j n ->
-          if j > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "%S" n)
-        c.best_order;
-      Buffer.add_string b "],\"best_offsets\":[";
-      Array.iteri
-        (fun j o ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (string_of_int o))
-        c.best.offs;
-      Buffer.add_string b "],\"best_cold\":[";
-      Array.iteri
-        (fun j v ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (if v then "true" else "false"))
-        c.best.cold;
-      Buffer.add_string b "],\"trajectory\":[";
-      List.iteri
-        (fun j p ->
-          if j > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "{\"eval\":%d,\"us\":%.6f}" p.eval p.us)
-        c.trajectory;
-      Buffer.add_string b "]}")
-    t.cells;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let module J = Obs.Json in
+  let strs f l = J.Arr (List.map (fun x -> J.Str (f x)) l) in
+  let cell (c : cell) =
+    J.Obj
+      [ ("stack", J.Str (Engine.stack_name c.stack));
+        ("icache_kb", J.int c.icache_kb);
+        ("evals", J.int c.evals);
+        ("eval_s", J.Num c.eval_s);
+        ( "candidates_per_sec",
+          J.Num
+            (if c.eval_s > 0.0 then float_of_int c.evals /. c.eval_s else 0.0)
+        );
+        ( "named",
+          J.Arr
+            (List.map
+               (fun (l, us) ->
+                 J.Obj
+                   [ ("layout", J.Str (Config.layout_name l));
+                     ("steady_us", J.Num us) ])
+               c.named) );
+        ("seeded", strs Config.layout_name c.seeded);
+        ("best_us", J.Num c.best_us);
+        ("greedy_us", J.Num c.greedy_us);
+        ("best_order", strs Fun.id c.best_order);
+        ("best_offsets", J.Arr (List.map J.int (Array.to_list c.best.offs)));
+        ( "best_cold",
+          J.Arr (List.map (fun v -> J.Bool v) (Array.to_list c.best.cold)) );
+        ( "trajectory",
+          J.Arr
+            (List.map
+               (fun p -> J.Obj [ ("eval", J.int p.eval); ("us", J.Num p.us) ])
+               c.trajectory) ) ]
+  in
+  J.Obj
+    [ ("schema_version", J.int J.schema_version);
+      ("budget", J.int t.budget);
+      ("seeds", J.int t.seeds);
+      ("jobs", J.int t.jobs);
+      ("wall_s", J.Num t.wall_s);
+      ("candidates_per_sec", J.Num (candidates_per_sec t));
+      ("digest", J.Str (digest t));
+      ("cells", J.Arr (List.map cell t.cells)) ]

@@ -110,4 +110,4 @@ val table : t -> Protolat_util.Table.t
 val render : t -> string
 (** {!table}, rendered. *)
 
-val to_json : t -> string
+val to_json : t -> Protolat_obs.Json.v

@@ -797,79 +797,63 @@ let passed t =
 (* ----- JSON export -------------------------------------------------------- *)
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"schema_version\": %d,\n" Obs.Json.schema_version);
-  Buffer.add_string b "  \"kind\": \"mflow\",\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"stack\": \"%s\",\n"
-       (match t.rstack with Engine.Tcpip -> "tcpip" | Engine.Rpc -> "rpc"));
-  Buffer.add_string b
-    (Printf.sprintf "  \"topology\": \"%s\",\n"
-       (Ns.Topology.to_string t.rtopology));
-  Buffer.add_string b
-    (Printf.sprintf "  \"seeds\": %d,\n  \"flow_counts\": [%s],\n" t.seeds
-       (String.concat ", " (List.map string_of_int t.flow_counts)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"workload\": {\"arrival\": \"%s\", \"req_bytes\": %d, \
-        \"resp_bytes\": %d, \"requests_per_flow\": %d, \"conn_lifetime\": \
-        %s},\n"
-       (arrival_name t.workload.arrival)
-       t.workload.req_bytes t.workload.resp_bytes t.workload.requests_per_flow
-       (match t.workload.conn_lifetime with
-       | None -> "null"
-       | Some n -> string_of_int n));
-  Buffer.add_string b "  \"cells\": [\n";
-  let esc s =
-    let eb = Buffer.create (String.length s) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string eb "\\\""
-        | '\\' -> Buffer.add_string eb "\\\\"
-        | '\n' -> Buffer.add_string eb "\\n"
-        | c -> Buffer.add_char eb c)
-      s;
-    Buffer.contents eb
-  in
-  let cell_json (c : cell) =
+  let module J = Obs.Json in
+  let cell (c : cell) =
     let q = c.lat in
-    let flow_p99 = Array.map (fun d -> d.Util.Stats.Hist.p99) c.per_flow in
-    Array.sort Float.compare flow_p99;
     let worst_flow_p99 =
-      if Array.length flow_p99 = 0 then 0.0
-      else flow_p99.(Array.length flow_p99 - 1)
+      Array.fold_left
+        (fun m d -> Float.max m d.Util.Stats.Hist.p99)
+        0.0 c.per_flow
     in
-    Printf.sprintf
-      "    {\"flows\": %d, \"seed\": %d, \"requests\": %d, \"conns\": %d, \
-       \"p50_us\": %.3f, \"p90_us\": %.3f, \"p99_us\": %.3f, \"p999_us\": \
-       %.3f, \"max_us\": %.3f, \"worst_flow_p99_us\": %.3f, \
-       \"map_hit_rate\": %.6f, \
-       \"key_compares_per_resolve\": %.4f, \"buckets_scanned\": %d, \
-       \"nonempty_buckets\": %d, \"timer_high_water\": %d, \"sweeps\": %d, \
-       \"retransmits\": %d, \"reconnects\": %d, \"drained\": %b, \
-       \"violations\": [%s]}"
-      c.flows c.seed c.requests c.conns q.Util.Stats.Hist.p50
-      q.Util.Stats.Hist.p90 q.Util.Stats.Hist.p99 q.Util.Stats.Hist.p999
-      q.Util.Stats.Hist.max worst_flow_p99
-      (hit_rate c.server_map)
-      (compares_per_resolve c.server_map)
-      c.server_map.buckets_scanned c.server_map.nonempty c.timer_high_water
-      c.sweeps c.retransmits c.reconnects c.drained
-      (String.concat ", "
-         (List.map (fun v -> "\"" ^ esc v ^ "\"") c.violations))
+    J.Obj
+      [ ("flows", J.int c.flows);
+        ("seed", J.int c.seed);
+        ("requests", J.int c.requests);
+        ("conns", J.int c.conns);
+        ("p50_us", J.Num q.Util.Stats.Hist.p50);
+        ("p90_us", J.Num q.Util.Stats.Hist.p90);
+        ("p99_us", J.Num q.Util.Stats.Hist.p99);
+        ("p999_us", J.Num q.Util.Stats.Hist.p999);
+        ("max_us", J.Num q.Util.Stats.Hist.max);
+        ("worst_flow_p99_us", J.Num worst_flow_p99);
+        ("map_hit_rate", J.Num (hit_rate c.server_map));
+        ("key_compares_per_resolve", J.Num (compares_per_resolve c.server_map));
+        ("buckets_scanned", J.int c.server_map.buckets_scanned);
+        ("nonempty_buckets", J.int c.server_map.nonempty);
+        ("timer_high_water", J.int c.timer_high_water);
+        ("sweeps", J.int c.sweeps);
+        ("retransmits", J.int c.retransmits);
+        ("reconnects", J.int c.reconnects);
+        ("drained", J.Bool c.drained);
+        ("violations", J.Arr (List.map (fun v -> J.Str v) c.violations)) ]
   in
-  Buffer.add_string b (String.concat ",\n" (List.map cell_json t.cells));
-  Buffer.add_string b "\n  ],\n  \"summary\": [\n";
-  Buffer.add_string b
-    (String.concat ",\n"
-       (List.map
-          (fun (n, (p50, p99, hit, cmp)) ->
-            Printf.sprintf
-              "    {\"flows\": %d, \"p50_us\": %.3f, \"p99_us\": %.3f, \
-               \"map_hit_rate\": %.6f, \"key_compares_per_resolve\": %.4f}"
-              n p50 p99 hit cmp)
-          (summary t)));
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let summary_row (n, (p50, p99, hit, cmp)) =
+    J.Obj
+      [ ("flows", J.int n);
+        ("p50_us", J.Num p50);
+        ("p99_us", J.Num p99);
+        ("map_hit_rate", J.Num hit);
+        ("key_compares_per_resolve", J.Num cmp) ]
+  in
+  J.Obj
+    [ ("schema_version", J.int J.schema_version);
+      ("kind", J.Str "mflow");
+      ( "stack",
+        J.Str
+          (match t.rstack with Engine.Tcpip -> "tcpip" | Engine.Rpc -> "rpc")
+      );
+      ("topology", J.Str (Ns.Topology.to_string t.rtopology));
+      ("seeds", J.int t.seeds);
+      ("flow_counts", J.Arr (List.map J.int t.flow_counts));
+      ( "workload",
+        J.Obj
+          [ ("arrival", J.Str (arrival_name t.workload.arrival));
+            ("req_bytes", J.int t.workload.req_bytes);
+            ("resp_bytes", J.int t.workload.resp_bytes);
+            ("requests_per_flow", J.int t.workload.requests_per_flow);
+            ( "conn_lifetime",
+              match t.workload.conn_lifetime with
+              | None -> J.Null
+              | Some n -> J.int n ) ] );
+      ("cells", J.Arr (List.map cell t.cells));
+      ("summary", J.Arr (List.map summary_row (summary t))) ]

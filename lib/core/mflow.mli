@@ -150,5 +150,5 @@ val render : report -> string
 val passed : report -> bool
 (** Every cell drained cleanly and broke no conservation law. *)
 
-val to_json : report -> string
+val to_json : report -> Obs.Json.v
 (** Deterministic JSON document (carries ["schema_version"]). *)

@@ -245,83 +245,71 @@ let render ?(top = 12) t =
 
 (* ----- JSON ---------------------------------------------------------------- *)
 
-let add_f b x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.bprintf b "%.0f" x
-  else Printf.bprintf b "%.6f" x
-
-let add_row_fields b ~instrs ~issue ~penalty ~stall ~imiss ~imiss_cold
-    ~imiss_repl ~dwb_miss =
-  Printf.bprintf b "\"instrs\":%d,\"issue\":" instrs;
-  add_f b issue;
-  Buffer.add_string b ",\"penalty\":";
-  add_f b penalty;
-  Buffer.add_string b ",\"stall\":";
-  add_f b stall;
-  Buffer.add_string b ",\"cycles\":";
-  add_f b (issue +. penalty +. stall);
-  Buffer.add_string b ",\"mcpi\":";
-  add_f b (if instrs = 0 then 0.0 else stall /. float_of_int instrs);
-  Printf.bprintf b
-    ",\"imiss\":%d,\"imiss_cold\":%d,\"imiss_repl\":%d,\"dwb_miss\":%d" imiss
-    imiss_cold imiss_repl dwb_miss
+let row_fields (r : Obs.Attrib.row) =
+  let module J = Obs.Json in
+  [ ("instrs", J.int r.instrs);
+    ("issue", J.Num r.issue);
+    ("penalty", J.Num r.penalty);
+    ("stall", J.Num r.stall);
+    ("cycles", J.Num (Obs.Attrib.cycles r));
+    ("mcpi", J.Num (Obs.Attrib.mcpi r));
+    ("imiss", J.int r.imiss);
+    ("imiss_cold", J.int r.imiss_cold);
+    ("imiss_repl", J.int r.imiss_repl);
+    ("dwb_miss", J.int r.dwb_miss) ]
 
 let to_json t =
-  let b = Buffer.create 8192 in
-  let tot = t.attrib.Obs.Attrib.totals in
-  let rep = report t in
-  Printf.bprintf b
-    "{\"schema_version\":%d,\"stack\":\"%s\",\"version\":\"%s\",\"topology\":\"%s\",\"seed\":%d,"
-    Obs.Json.schema_version
-    (Engine.stack_name t.stack)
-    (Config.version_name t.version)
-    (Protolat_netsim.Topology.to_string t.topology)
-    t.seed;
-  Printf.bprintf b "\"mode\":\"%s\","
-    (match t.mode with `Steady -> "steady" | `Cold -> "cold");
-  Buffer.add_string b "\"aggregate\":{";
-  add_row_fields b ~instrs:rep.Machine.Perf.length ~issue:tot.Obs.Attrib.issue
-    ~penalty:tot.Obs.Attrib.penalty ~stall:tot.Obs.Attrib.stall
-    ~imiss:tot.Obs.Attrib.imiss ~imiss_cold:tot.Obs.Attrib.imiss_cold
-    ~imiss_repl:tot.Obs.Attrib.imiss_repl ~dwb_miss:tot.Obs.Attrib.dwb_miss;
-  Buffer.add_string b ",\"rtt_us_mean\":";
-  add_f b (Stats.mean t.run.Engine.rtts);
-  Buffer.add_string b "},\"layers\":[";
-  List.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"layer\":\"%s\"," l.layer;
-      add_row_fields b ~instrs:l.instrs ~issue:l.issue ~penalty:l.penalty
-        ~stall:l.stall ~imiss:l.imiss ~imiss_cold:l.imiss_cold
-        ~imiss_repl:l.imiss_repl ~dwb_miss:l.dwb_miss;
-      Buffer.add_char b '}')
-    t.layers;
-  Buffer.add_string b "],\"functions\":[";
-  List.iteri
-    (fun i (r : Obs.Attrib.row) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"func\":\"%s\",\"layer\":\"%s\","
-        r.Obs.Attrib.func
-        (layer_of ~stack:t.stack r.Obs.Attrib.func);
-      add_row_fields b ~instrs:r.Obs.Attrib.instrs ~issue:r.Obs.Attrib.issue
-        ~penalty:r.Obs.Attrib.penalty ~stall:r.Obs.Attrib.stall
-        ~imiss:r.Obs.Attrib.imiss ~imiss_cold:r.Obs.Attrib.imiss_cold
-        ~imiss_repl:r.Obs.Attrib.imiss_repl ~dwb_miss:r.Obs.Attrib.dwb_miss;
-      Buffer.add_char b '}')
-    t.attrib.Obs.Attrib.rows;
-  Buffer.add_string b "],\"conflicts\":[";
-  List.iteri
-    (fun i (c : Obs.Attrib.conflict) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"victim\":\"%s\",\"evictor\":\"%s\",\"count\":%d}"
-        c.Obs.Attrib.victim c.Obs.Attrib.evictor c.Obs.Attrib.count)
-    t.attrib.Obs.Attrib.conflicts;
-  Printf.bprintf b
-    "],\"imiss_summary\":{\"cold\":%d,\"self\":%d,\"cross\":%d,\"total\":%d},"
-    t.attrib.Obs.Attrib.cold_imisses
-    (Obs.Attrib.self_imisses t.attrib)
-    (Obs.Attrib.cross_imisses t.attrib)
-    tot.Obs.Attrib.imiss;
-  Buffer.add_string b "\"metrics\":";
-  Buffer.add_string b (Obs.Metrics.to_json t.run.Engine.metrics);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let module J = Obs.Json in
+  let a = t.attrib in
+  let tot =
+    { a.Obs.Attrib.totals with
+      Obs.Attrib.instrs = (report t).Machine.Perf.length }
+  in
+  J.Obj
+    [ ("schema_version", J.int J.schema_version);
+      ("stack", J.Str (Engine.stack_name t.stack));
+      ("version", J.Str (Config.version_name t.version));
+      ("topology", J.Str (Protolat_netsim.Topology.to_string t.topology));
+      ("seed", J.int t.seed);
+      ("mode", J.Str (match t.mode with `Steady -> "steady" | `Cold -> "cold"));
+      ( "aggregate",
+        J.Obj
+          (row_fields tot
+          @ [ ("rtt_us_mean", J.Num (Stats.mean t.run.Engine.rtts)) ]) );
+      ( "layers",
+        J.Arr
+          (List.map
+             (fun l ->
+               J.Obj
+                 (("layer", J.Str l.layer)
+                 :: row_fields
+                      { Obs.Attrib.func = l.layer; instrs = l.instrs;
+                        issue = l.issue; penalty = l.penalty; stall = l.stall;
+                        imiss = l.imiss; imiss_cold = l.imiss_cold;
+                        imiss_repl = l.imiss_repl; dwb_miss = l.dwb_miss }))
+             t.layers) );
+      ( "functions",
+        J.Arr
+          (List.map
+             (fun (r : Obs.Attrib.row) ->
+               J.Obj
+                 (("func", J.Str r.Obs.Attrib.func)
+                 :: ("layer", J.Str (layer_of ~stack:t.stack r.Obs.Attrib.func))
+                 :: row_fields r))
+             a.Obs.Attrib.rows) );
+      ( "conflicts",
+        J.Arr
+          (List.map
+             (fun (c : Obs.Attrib.conflict) ->
+               J.Obj
+                 [ ("victim", J.Str c.Obs.Attrib.victim);
+                   ("evictor", J.Str c.Obs.Attrib.evictor);
+                   ("count", J.int c.Obs.Attrib.count) ])
+             a.Obs.Attrib.conflicts) );
+      ( "imiss_summary",
+        J.Obj
+          [ ("cold", J.int a.Obs.Attrib.cold_imisses);
+            ("self", J.int (Obs.Attrib.self_imisses a));
+            ("cross", J.int (Obs.Attrib.cross_imisses a));
+            ("total", J.int tot.Obs.Attrib.imiss) ] );
+      ("metrics", Obs.Metrics.to_json t.run.Engine.metrics) ]

@@ -84,6 +84,6 @@ val render : ?top:int -> t -> string
 (** Text report: aggregate line, per-layer table, top-[top] (default 12)
     functions by attributed cycles, and the i-cache conflict matrix. *)
 
-val to_json : t -> string
+val to_json : t -> Obs.Json.v
 (** Deterministic JSON document embedding the layer/function/conflict
     breakdowns and the run's unified metrics dump. *)

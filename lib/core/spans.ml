@@ -136,68 +136,37 @@ let render t =
 
 (* ----- JSON ---------------------------------------------------------------- *)
 
-let add_f b x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.bprintf b "%.0f" x
-  else Printf.bprintf b "%.6f" x
-
-let add_farr b a =
-  Buffer.add_char b '[';
-  Array.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_char b ',';
-      add_f b x)
-    a;
-  Buffer.add_char b ']'
-
 let to_json t =
-  let b = Buffer.create 4096 in
-  Printf.bprintf b
-    "{\"schema_version\":%d,\"stack\":\"%s\",\"version\":\"%s\",\"topology\":\"%s\",\"seed\":%d,\"rounds\":%d,"
-    Obs.Json.schema_version
-    (Engine.stack_name t.stack)
-    (Config.version_name t.version)
-    (Protolat_netsim.Topology.to_string t.topology)
-    t.seed t.rounds;
-  Buffer.add_string b "\"stages\":[";
-  for s = 0 to Obs.Span.n_stages - 1 do
-    if s > 0 then Buffer.add_char b ',';
-    Printf.bprintf b "\"%s\"" (Obs.Span.stage_name s)
-  done;
-  Buffer.add_string b "],\"hosts\":[";
-  for h = 0 to Obs.Span.n_hosts - 1 do
-    if h > 0 then Buffer.add_char b ',';
-    Printf.bprintf b "\"%s\"" (Obs.Span.host_name h)
-  done;
-  Buffer.add_string b "],\"layouts\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"layout\":\"%s\",\"messages\":%d,"
-        (Config.layout_name c.layout)
-        c.budget.Obs.Span.messages;
-      Buffer.add_string b "\"mean_rtt_us\":";
-      add_f b c.budget.Obs.Span.mean_rtt_us;
-      Printf.bprintf b ",\"extra_generations\":%d,"
-        c.budget.Obs.Span.extra_generations;
-      Buffer.add_string b "\"stage_mean_us\":";
-      add_farr b
-        (Array.init Obs.Span.n_stages (fun s -> mean_stage c s));
-      Buffer.add_string b ",\"host_stage_us\":[";
-      Array.iteri
-        (fun h row ->
-          if h > 0 then Buffer.add_char b ',';
-          ignore row;
-          add_farr b c.budget.Obs.Span.host_stage_us.(h))
-        c.budget.Obs.Span.host_stage_us;
-      Printf.bprintf b "],\"conserved\":%b,"
-        (match Obs.Span.conserved c.msgs ~rtts:c.run.Engine.rtts with
-        | Ok () -> true
-        | Error _ -> false);
-      Buffer.add_string b "\"retransmissions\":";
-      Printf.bprintf b "%d}" c.run.Engine.retransmissions)
-    t.cells;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let module J = Obs.Json in
+  let nums a = J.Arr (List.map (fun x -> J.Num x) (Array.to_list a)) in
+  let names n name = J.Arr (List.init n (fun i -> J.Str (name i))) in
+  let layout c =
+    J.Obj
+      [ ("layout", J.Str (Config.layout_name c.layout));
+        ("messages", J.int c.budget.Obs.Span.messages);
+        ("mean_rtt_us", J.Num c.budget.Obs.Span.mean_rtt_us);
+        ("extra_generations", J.int c.budget.Obs.Span.extra_generations);
+        ( "stage_mean_us",
+          nums (Array.init Obs.Span.n_stages (fun s -> mean_stage c s)) );
+        ( "host_stage_us",
+          J.Arr
+            (List.map nums (Array.to_list c.budget.Obs.Span.host_stage_us)) );
+        ( "conserved",
+          J.Bool
+            (Result.is_ok (Obs.Span.conserved c.msgs ~rtts:c.run.Engine.rtts))
+        );
+        ("retransmissions", J.int c.run.Engine.retransmissions) ]
+  in
+  J.Obj
+    [ ("schema_version", J.int J.schema_version);
+      ("stack", J.Str (Engine.stack_name t.stack));
+      ("version", J.Str (Config.version_name t.version));
+      ("topology", J.Str (Protolat_netsim.Topology.to_string t.topology));
+      ("seed", J.int t.seed);
+      ("rounds", J.int t.rounds);
+      ("stages", names Obs.Span.n_stages Obs.Span.stage_name);
+      ("hosts", names Obs.Span.n_hosts Obs.Span.host_name);
+      ("layouts", J.Arr (List.map layout t.cells)) ]
 
 (* ----- Perfetto ------------------------------------------------------------ *)
 
@@ -214,4 +183,4 @@ let perfetto t =
           msgs = c.msgs })
       t.cells
   in
-  Obs.Perfetto.to_string ~spans:tracks []
+  Obs.Perfetto.to_json ~spans:tracks []

@@ -69,12 +69,12 @@ val render : t -> string
 (** Two text tables: per-stage mean µs/roundtrip (with share of RTT) per
     layout, and the same rolled up per host. *)
 
-val to_json : t -> string
+val to_json : t -> Obs.Json.v
 (** Deterministic JSON document: schema version, stage/host name tables,
     and per-layout budgets ([stage_mean_us], [host_stage_us], totals,
     conservation verdict). *)
 
-val perfetto : t -> string
+val perfetto : t -> Obs.Json.v
 (** The collected span ledgers as a Perfetto trace-event document — one
     process per layout, per-host threads of stage slices, flow arrows
     tying each wire hop's send span to its receive span. *)

@@ -34,7 +34,7 @@ let collect ?(base_seed = 42) ?(seeds = 1) ?(rounds = 12) ?fault ?jobs ~stack
   in
   { stack; version; processes; results }
 
-let to_json t = Obs.Perfetto.to_string t.processes
+let to_json t = Obs.Perfetto.to_json t.processes
 
 let events t =
   List.fold_left

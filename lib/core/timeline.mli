@@ -30,7 +30,7 @@ val collect :
   unit ->
   t
 
-val to_json : t -> string
+val to_json : t -> Protolat_obs.Json.v
 (** Perfetto trace-event JSON ([{"traceEvents":[...]}]). *)
 
 val events : t -> int

@@ -1,4 +1,4 @@
-let schema_version = 4
+let schema_version = 5
 
 type v =
   | Null
@@ -45,6 +45,62 @@ let parse_literal st lit value =
   end
   else fail st.pos ("expected " ^ lit)
 
+(* four hex digits of a \u escape, strictly (no sign, no underscore) *)
+let parse_hex4 st =
+  if st.pos + 4 > String.length st.s then fail st.pos "truncated \\u escape";
+  let digit i =
+    match st.s.[st.pos + i] with
+    | '0' .. '9' as c -> Char.code c - 48
+    | 'a' .. 'f' as c -> Char.code c - 87
+    | 'A' .. 'F' as c -> Char.code c - 55
+    | _ -> fail (st.pos + i) "bad \\u escape"
+  in
+  let code =
+    (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3
+  in
+  st.pos <- st.pos + 4;
+  code
+
+(* the code point of a \u escape, its backslash and u already consumed: a
+   high surrogate must be followed by a \u-escaped low one, and the pair
+   combines into one supplementary-plane code point *)
+let parse_code_point st =
+  let start = st.pos - 2 in
+  let hi = parse_hex4 st in
+  if hi >= 0xDC00 && hi <= 0xDFFF then fail start "lone low surrogate"
+  else if hi < 0xD800 || hi > 0xDBFF then hi
+  else if
+    st.pos + 2 <= String.length st.s
+    && st.s.[st.pos] = '\\'
+    && st.s.[st.pos + 1] = 'u'
+  then begin
+    st.pos <- st.pos + 2;
+    let lo = parse_hex4 st in
+    if lo < 0xDC00 || lo > 0xDFFF then fail start "lone high surrogate";
+    0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
+  end
+  else fail start "lone high surrogate"
+
+let add_utf8 buf code =
+  let byte n = Buffer.add_char buf (Char.chr n) in
+  let cont shift = byte (0x80 lor ((code lsr shift) land 0x3F)) in
+  if code < 0x80 then byte code
+  else if code < 0x800 then begin
+    byte (0xC0 lor (code lsr 6));
+    cont 0
+  end
+  else if code < 0x10000 then begin
+    byte (0xE0 lor (code lsr 12));
+    cont 6;
+    cont 0
+  end
+  else begin
+    byte (0xF0 lor (code lsr 18));
+    cont 12;
+    cont 6;
+    cont 0
+  end
+
 let parse_string st =
   expect st '"';
   let buf = Buffer.create 16 in
@@ -69,26 +125,7 @@ let parse_string st =
         | 'n' -> Buffer.add_char buf '\n'
         | 'r' -> Buffer.add_char buf '\r'
         | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          if st.pos + 4 > String.length st.s then
-            fail st.pos "truncated \\u escape";
-          let hex = String.sub st.s st.pos 4 in
-          (match int_of_string_opt ("0x" ^ hex) with
-          | None -> fail st.pos "bad \\u escape"
-          | Some code ->
-            st.pos <- st.pos + 4;
-            (* keep it simple: store BMP code points as UTF-8 *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char buf
-                (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end)
+        | 'u' -> add_utf8 buf (parse_code_point st)
         | c -> fail (st.pos - 1) (Printf.sprintf "bad escape '\\%c'" c));
         go ())
     | Some c when Char.code c < 0x20 -> fail st.pos "control char in string"
@@ -188,3 +225,63 @@ let member key = function
   | _ -> None
 
 let array_length = function Arr l -> List.length l | _ -> 0
+
+let int n = Num (float_of_int n)
+
+(* shortest of %.15g/%.16g/%.17g that reads back as the same float: whole
+   numbers print without a fraction, and every finite float round-trips *)
+let add_num b f =
+  if not (Float.is_finite f) then
+    invalid_arg "Json.to_string: non-finite number";
+  let fmt p = Printf.sprintf "%.*g" p f in
+  let s15 = fmt 15 in
+  Buffer.add_string b
+    (if float_of_string s15 = f then s15
+     else
+       let s16 = fmt 16 in
+       if float_of_string s16 = f then s16 else fmt 17)
+
+let hex = "0123456789abcdef"
+
+let add_str b s =
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b "\\u00";
+        Buffer.add_char b hex.[Char.code c lsr 4];
+        Buffer.add_char b hex.[Char.code c land 15]
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+let rec add_v b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool x -> Buffer.add_string b (if x then "true" else "false")
+  | Num f -> add_num b f
+  | Str s -> add_str b s
+  | Arr xs ->
+    Buffer.add_char b '[';
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char b ',';
+        add_v b x)
+      xs;
+    Buffer.add_char b ']'
+  | Obj fields ->
+    Buffer.add_char b '{';
+    List.iteri
+      (fun i (k, x) ->
+        if i > 0 then Buffer.add_char b ',';
+        add_str b k;
+        Buffer.add_char b ':';
+        add_v b x)
+      fields;
+    Buffer.add_char b '}'
+
+let to_string v =
+  let b = Buffer.create 4096 in
+  add_v b v;
+  Buffer.contents b

@@ -148,50 +148,33 @@ let render t =
   Buffer.contents buf
 
 let to_json t =
-  let buf = Buffer.create 1024 in
   let all = dump t in
-  let section name filter render_v =
-    Buffer.add_string buf (Printf.sprintf "\"%s\":{" name);
-    let first = ref true in
-    List.iter
-      (fun (k, s) ->
-        match filter s with
-        | None -> ()
-        | Some v ->
-          if not !first then Buffer.add_char buf ',';
-          first := false;
-          Buffer.add_string buf (Printf.sprintf "\"%s\":" k);
-          render_v v)
-      all;
-    Buffer.add_char buf '}'
+  let section pick =
+    Json.Obj
+      (List.filter_map
+         (fun (k, s) -> Option.map (fun v -> (k, v)) (pick s))
+         all)
   in
-  Buffer.add_char buf '{';
-  Buffer.add_string buf
-    (Printf.sprintf "\"schema_version\":%d," Json.schema_version);
-  section "counters"
-    (function Counter n -> Some n | _ -> None)
-    (fun n -> Buffer.add_string buf (string_of_int n));
-  Buffer.add_char buf ',';
-  section "gauges"
-    (function Gauge v -> Some v | _ -> None)
-    (fun v -> Buffer.add_string buf (f v));
-  Buffer.add_char buf ',';
-  section "histograms"
-    (function
-      | Histogram { bounds; counts; count; sum } ->
-        Some (bounds, counts, count, sum)
-      | _ -> None)
-    (fun (bounds, counts, count, sum) ->
-      Buffer.add_string buf
-        (Printf.sprintf "{\"count\":%d,\"sum\":%s,\"buckets\":[" count (f sum));
-      Array.iteri
-        (fun i c ->
-          if i > 0 then Buffer.add_char buf ',';
-          let le =
-            if i < Array.length bounds then f bounds.(i) else "\"inf\""
-          in
-          Buffer.add_string buf (Printf.sprintf "[%s,%d]" le c))
-        counts;
-      Buffer.add_string buf "]}");
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.Obj
+    [ ("schema_version", Json.int Json.schema_version);
+      ( "counters",
+        section (function Counter n -> Some (Json.int n) | _ -> None) );
+      ("gauges", section (function Gauge v -> Some (Json.Num v) | _ -> None));
+      ( "histograms",
+        section (function
+          | Histogram { bounds; counts; count; sum } ->
+            let bucket i c =
+              let le =
+                if i < Array.length bounds then Json.Num bounds.(i)
+                else Json.Str "inf"
+              in
+              Json.Arr [ le; Json.int c ]
+            in
+            Some
+              (Json.Obj
+                 [ ("count", Json.int count);
+                   ("sum", Json.Num sum);
+                   ( "buckets",
+                     Json.Arr (List.mapi bucket (Array.to_list counts)) )
+                 ])
+          | _ -> None) ) ]

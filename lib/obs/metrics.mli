@@ -79,6 +79,6 @@ val find : t -> string -> sample option
 val render : t -> string
 (** Human-readable dump, one metric per line, sorted by name. *)
 
-val to_json : t -> string
-(** Deterministic JSON object: [{"counters":{...},"gauges":{...},
-    "histograms":{...}}] with keys sorted by name. *)
+val to_json : t -> Json.v
+(** Deterministic JSON object: [{"schema_version":_,"counters":{...},
+    "gauges":{...},"histograms":{...}}] with keys sorted by name. *)

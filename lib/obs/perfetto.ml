@@ -5,54 +5,29 @@ type process = {
   tracer : Tracer.t;
 }
 
-(* ts with fixed sub-ns precision: deterministic and lossless for the
-   simulator's µs-scale clock *)
-let ts_fmt = format_of_string "%.3f"
+let meta ~pid ?tid ~name ~label () =
+  Json.Obj
+    ([ ("ph", Json.Str "M"); ("pid", Json.int pid) ]
+    @ (match tid with None -> [] | Some tid -> [ ("tid", Json.int tid) ])
+    @ [ ("name", Json.Str name);
+        ("args", Json.Obj [ ("name", Json.Str label) ]) ])
 
-let escape s =
-  (* event names/categories are simulator-chosen identifiers; escape just
-     enough to stay valid JSON if one ever carries a quote *)
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let add_meta buf ~first ~pid ?tid ~name ~label () =
-  if not !first then Buffer.add_string buf ",\n";
-  first := false;
-  (match tid with
-  | None ->
-    Buffer.add_string buf
-      (Printf.sprintf "{\"ph\":\"M\",\"pid\":%d,\"name\":\"%s\"" pid name)
-  | Some tid ->
-    Buffer.add_string buf
-      (Printf.sprintf "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"%s\"" pid
-         tid name));
-  Buffer.add_string buf
-    (Printf.sprintf ",\"args\":{\"name\":\"%s\"}}" (escape label))
-
-let add_event buf ~first ~pid (e : Tracer.event) =
-  if not !first then Buffer.add_string buf ",\n";
-  first := false;
-  let ph, id_field =
+let event ~pid (e : Tracer.event) =
+  let ph, extra =
     match e.Tracer.phase with
-    | `Instant -> ("i", "")
-    | `Begin -> ("b", Printf.sprintf ",\"id\":%d" e.Tracer.id)
-    | `End -> ("e", Printf.sprintf ",\"id\":%d" e.Tracer.id)
+    | `Instant -> ("i", [ ("s", Json.Str "t") ])
+    | `Begin -> ("b", [ ("id", Json.int e.Tracer.id) ])
+    | `End -> ("e", [ ("id", Json.int e.Tracer.id) ])
   in
-  let scope = if ph = "i" then ",\"s\":\"t\"" else "" in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\"%s%s,\"ts\":%(%f%),\"pid\":%d,\"tid\":%d,\"args\":{\"a0\":%d}}"
-       (escape e.Tracer.name) (escape e.Tracer.cat) ph id_field scope ts_fmt
-       e.Tracer.ts pid e.Tracer.tid e.Tracer.a0)
+  Json.Obj
+    ([ ("name", Json.Str e.Tracer.name);
+       ("cat", Json.Str e.Tracer.cat);
+       ("ph", Json.Str ph) ]
+    @ extra
+    @ [ ("ts", Json.Num e.Tracer.ts);
+        ("pid", Json.int pid);
+        ("tid", Json.int e.Tracer.tid);
+        ("args", Json.Obj [ ("a0", Json.int e.Tracer.a0) ]) ])
 
 type span_track = {
   span_pid : int;
@@ -64,20 +39,37 @@ type span_track = {
    each wire hop additionally carries a flow arrow (ph "s" on the sending
    host's slice, ph "f" on the receiving host's slice) so tx→rx causality
    across hosts renders as an arc in the Perfetto UI. *)
-let add_span_events buf ~first ~flow_id t =
+let add_span_events emit ~flow_id t =
+  let flow ph ~id (s : Span.seg) =
+    Json.Obj
+      ([ ("name", Json.Str "msg");
+         ("cat", Json.Str "flow");
+         ("ph", Json.Str ph) ]
+      @ (if ph = "f" then [ ("bp", Json.Str "e") ] else [])
+      @ [ ("id", Json.int id);
+          ("ts", Json.Num s.Span.t0_us);
+          ("pid", Json.int t.span_pid);
+          ("tid", Json.int s.Span.host) ])
+  in
   Array.iter
     (fun (m : Span.message) ->
       let segs = m.Span.segs in
       Array.iteri
         (fun j (s : Span.seg) ->
-          if not !first then Buffer.add_string buf ",\n";
-          first := false;
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":%(%f%),\"dur\":%(%f%),\"pid\":%d,\"tid\":%d,\"args\":{\"msg\":%d,\"gen\":%d}}"
-               (Span.stage_name s.Span.stage) ts_fmt s.Span.t0_us ts_fmt
-               (Float.max 0.0 s.Span.dur_us) t.span_pid s.Span.host m.Span.id
-               s.Span.gen);
+          emit
+            (Json.Obj
+               [ ("name", Json.Str (Span.stage_name s.Span.stage));
+                 ("cat", Json.Str "span");
+                 ("ph", Json.Str "X");
+                 ("ts", Json.Num s.Span.t0_us);
+                 ("dur", Json.Num (Float.max 0.0 s.Span.dur_us));
+                 ("pid", Json.int t.span_pid);
+                 ("tid", Json.int s.Span.host);
+                 ( "args",
+                   Json.Obj
+                     [ ("msg", Json.int m.Span.id);
+                       ("gen", Json.int s.Span.gen) ]
+                 ) ]);
           if
             s.Span.stage = Span.stage_wire
             && j > 0
@@ -86,49 +78,38 @@ let add_span_events buf ~first ~flow_id t =
           then begin
             let id = !flow_id in
             incr flow_id;
-            let tx = segs.(j - 1) and rx = segs.(j + 1) in
-            Buffer.add_string buf
-              (Printf.sprintf
-                 ",\n{\"name\":\"msg\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":%d,\"ts\":%(%f%),\"pid\":%d,\"tid\":%d}"
-                 id ts_fmt tx.Span.t0_us t.span_pid tx.Span.host);
-            Buffer.add_string buf
-              (Printf.sprintf
-                 ",\n{\"name\":\"msg\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":%d,\"ts\":%(%f%),\"pid\":%d,\"tid\":%d}"
-                 id ts_fmt rx.Span.t0_us t.span_pid rx.Span.host)
+            emit (flow "s" ~id segs.(j - 1));
+            emit (flow "f" ~id segs.(j + 1))
           end)
         segs)
     t.msgs
 
-let to_buffer ?(spans = []) buf processes =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"schema_version\":%d,\"traceEvents\":[\n"
-       Json.schema_version);
-  let first = ref true in
+let to_json ?(spans = []) processes =
+  let events = ref [] in
+  let emit e = events := e :: !events in
   List.iter
     (fun p ->
-      add_meta buf ~first ~pid:p.pid ~name:"process_name" ~label:p.pname ();
+      emit (meta ~pid:p.pid ~name:"process_name" ~label:p.pname ());
       List.iter
         (fun (tid, label) ->
-          add_meta buf ~first ~pid:p.pid ~tid ~name:"thread_name" ~label ())
+          emit (meta ~pid:p.pid ~tid ~name:"thread_name" ~label ()))
         p.threads)
     processes;
   List.iter
     (fun t ->
-      add_meta buf ~first ~pid:t.span_pid ~name:"process_name"
-        ~label:t.span_pname ();
+      emit (meta ~pid:t.span_pid ~name:"process_name" ~label:t.span_pname ());
       for h = 0 to Span.n_hosts - 1 do
-        add_meta buf ~first ~pid:t.span_pid ~tid:h ~name:"thread_name"
-          ~label:(Span.host_name h) ()
+        emit
+          (meta ~pid:t.span_pid ~tid:h ~name:"thread_name"
+             ~label:(Span.host_name h) ())
       done)
     spans;
   List.iter
-    (fun p -> Tracer.iter p.tracer (fun e -> add_event buf ~first ~pid:p.pid e))
+    (fun p -> Tracer.iter p.tracer (fun e -> emit (event ~pid:p.pid e)))
     processes;
   let flow_id = ref 0 in
-  List.iter (fun t -> add_span_events buf ~first ~flow_id t) spans;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n"
-
-let to_string ?spans processes =
-  let buf = Buffer.create 65536 in
-  to_buffer ?spans buf processes;
-  Buffer.contents buf
+  List.iter (add_span_events emit ~flow_id) spans;
+  Json.Obj
+    [ ("schema_version", Json.int Json.schema_version);
+      ("traceEvents", Json.Arr (List.rev !events));
+      ("displayTimeUnit", Json.Str "ms") ]

@@ -4,8 +4,8 @@
     trace-event format ([{"traceEvents":[...]}]) that loads directly in
     {{:https://ui.perfetto.dev}ui.perfetto.dev} or [chrome://tracing].
     Each tracer becomes one Perfetto {e process}; its thread ids are
-    labeled via metadata events.  All numbers are printed with fixed
-    formats, so the output is byte-identical for identical inputs. *)
+    labeled via metadata events.  The document is a {!Json.v}, so its
+    printed form is byte-identical for identical inputs. *)
 
 type process = {
   pid : int;
@@ -24,6 +24,7 @@ type span_track = {
     sending host's slice, [ph:"f"] on the receiving host's slice) tying each
     wire hop's send span to its receive span across hosts. *)
 
-val to_buffer : ?spans:span_track list -> Buffer.t -> process list -> unit
-
-val to_string : ?spans:span_track list -> process list -> string
+val to_json : ?spans:span_track list -> process list -> Json.v
+(** [{"schema_version":_,"traceEvents":[...],"displayTimeUnit":"ms"}]:
+    metadata events first, then every tracer event, then the span
+    slices and flow events. *)

@@ -1,13 +1,15 @@
 #!/bin/sh
 # Smoke script: full build, test suite (with the warm-block fast path on
 # and off, and with the span ledger knob pinned off), a short multi-seed
-# fault soak, the latency-attribution and timeline exports (with their
-# consistency / JSON well-formedness checks), a quick multi-flow sweep, a quick latency-provenance spans
-# report (with its bit-exact conservation check), a quick host-lifecycle
-# chaos sweep, a quick fabric incast export, a pair bit-identity check
-# plus replays of the committed chaos repro files, a quick end-to-end
-# bench table, and a bench regression gate against the committed
-# BENCH_*.json history.
+# fault soak, then the quick JSON exports: latency attribution, timeline,
+# multi-flow sweep, latency-provenance spans, host-lifecycle chaos, fabric
+# incast and layout search.  Each quick alias runs with --check, which
+# parses its export back through the one shared check in bin/cli_common.ml
+# (same value, current schema_version, expected cell count) on top of the
+# subcommand's own consistency checks.  Then a pair bit-identity check,
+# replays of the committed chaos repro files, a quick end-to-end bench
+# table, and a bench regression gate against the committed BENCH_*.json
+# history.
 # Usage: scripts/ci.sh  (run from the repository root)
 set -eu
 

@@ -7,6 +7,7 @@
 module P = Protolat
 module C = P.Chaos
 module I = P.Invariant
+module J = Protolat_obs.Json
 
 (* ----- schedule generation -------------------------------------------------- *)
 
@@ -90,8 +91,9 @@ let test_matrix_jobs_deterministic () =
   let a = matrix 1 and b = matrix 3 in
   Alcotest.(check string) "digest independent of jobs" (C.digest a)
     (C.digest b);
-  Alcotest.(check string) "JSON byte-identical" (C.matrix_to_json a)
-    (C.matrix_to_json b);
+  Alcotest.(check string) "JSON byte-identical"
+    (J.to_string (C.matrix_to_json a))
+    (J.to_string (C.matrix_to_json b));
   Alcotest.(check bool) "matrix passes" true (C.passed a);
   Alcotest.(check int) "cells ordered intensity-major" 4 (List.length a)
 
@@ -172,7 +174,7 @@ let test_dedup_bug_caught_and_shrunk () =
       (List.mem "at_most_once" (C.failure_names mo));
     (* JSON round-trip: the export replays bit-identically *)
     let expect = C.failure_names mo in
-    (match C.case_of_json (C.case_to_json ~expect mc) with
+    (match C.case_of_json (J.to_string (C.case_to_json ~expect mc)) with
     | Error e -> Alcotest.fail ("repro JSON does not parse back: " ^ e)
     | Ok (mc', expect') ->
       Alcotest.(check bool) "case round-trips" true (mc' = mc);
@@ -193,6 +195,30 @@ let test_repro_json_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "foreign kind accepted"
 
+(* hostile numbers in an otherwise valid repro are an Error, never an
+   exception out of run_case or a silently truncated replay *)
+let test_repro_json_rejects_out_of_range () =
+  let valid = C.case ~seed:2 [] in
+  let with_field name v =
+    match C.case_to_json valid with
+    | J.Obj fields ->
+      J.to_string
+        (J.Obj (List.map (fun (k, x) -> (k, if k = name then v else x)) fields))
+    | _ -> Alcotest.fail "repro is not an object"
+  in
+  (match C.case_of_json (J.to_string (C.case_to_json valid)) with
+  | Ok (c, []) ->
+    Alcotest.(check bool) "valid case round-trips" true (c = valid)
+  | _ -> Alcotest.fail "valid repro rejected");
+  List.iter
+    (fun (name, v) ->
+      match C.case_of_json (with_field name (J.Num v)) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %s = %g" name v))
+    [ ("flows", 0.0); ("flows", 2.7); ("flows", 1e30); ("flows", 65.0);
+      ("requests", 0.0); ("requests", 1001.0); ("seed", 0.5);
+      ("seed", 1e30); ("horizon_us", 0.0); ("horizon_us", -5.0) ]
+
 let suite =
   ( "chaos",
     [ Alcotest.test_case "gen deterministic" `Quick test_gen_deterministic;
@@ -209,4 +235,6 @@ let suite =
       Alcotest.test_case "dedup bug caught and shrunk" `Slow
         test_dedup_bug_caught_and_shrunk;
       Alcotest.test_case "repro json rejects garbage" `Quick
-        test_repro_json_rejects_garbage ] )
+        test_repro_json_rejects_garbage;
+      Alcotest.test_case "repro json rejects out-of-range fields" `Quick
+        test_repro_json_rejects_out_of_range ] )

@@ -47,8 +47,8 @@ let test_engine_onoff () =
       check_report (name ^ " steady") on.P.Engine.steady off.P.Engine.steady;
       check_report (name ^ " cold") on.P.Engine.cold off.P.Engine.cold;
       Alcotest.(check string) (name ^ ": metrics json identical")
-        (Obs.Metrics.to_json off.P.Engine.metrics)
-        (Obs.Metrics.to_json on.P.Engine.metrics);
+        (Obs.Json.to_string (Obs.Metrics.to_json off.P.Engine.metrics))
+        (Obs.Json.to_string (Obs.Metrics.to_json on.P.Engine.metrics));
       let attrib (r : P.Engine.run_result) =
         Obs.Attrib.profile params r.P.Engine.client_image r.P.Engine.trace
       in

@@ -38,7 +38,8 @@ let test_jobs_determinism () =
   in
   let a = sweep 1 and b = sweep 3 in
   Alcotest.(check string) "byte-identical JSON at jobs 1 vs 3"
-    (P.Mflow.to_json a) (P.Mflow.to_json b);
+    (Obs.Json.to_string (P.Mflow.to_json a))
+    (Obs.Json.to_string (P.Mflow.to_json b));
   Alcotest.(check string) "byte-identical rendering"
     (P.Mflow.render a) (P.Mflow.render b)
 
@@ -132,7 +133,7 @@ let test_json_well_formed () =
   let r =
     P.Mflow.sweep ~flow_counts:[ 1; 4 ] ~seeds:1 ~workload:quick_wl tcp_spec
   in
-  match Obs.Json.parse (P.Mflow.to_json r) with
+  match Obs.Json.parse (Obs.Json.to_string (P.Mflow.to_json r)) with
   | Error e -> Alcotest.fail ("mflow JSON does not parse: " ^ e)
   | Ok v ->
     (match Obs.Json.member "schema_version" v with

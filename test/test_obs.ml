@@ -53,7 +53,7 @@ let test_metrics_dump_sorted_and_json () =
   let names = List.map fst (Obs.Metrics.dump reg) in
   Alcotest.(check (list string)) "sorted dump" [ "alpha"; "mid"; "zeta" ]
     names;
-  let json = Obs.Metrics.to_json reg in
+  let json = Obs.Json.to_string (Obs.Metrics.to_json reg) in
   match Obs.Json.parse json with
   | Error e -> Alcotest.fail ("metrics JSON does not parse: " ^ e)
   | Ok v -> (
@@ -89,6 +89,77 @@ let test_json_parser () =
       | Ok _ -> Alcotest.fail ("accepted malformed: " ^ bad)
       | Error _ -> ())
     [ "{"; "[1,]"; "{\"a\":}"; "[1] trailing"; "\"unterminated"; "nul" ]
+
+(* \ud83d\ude00 is one code point (U+1F600), four bytes of UTF-8; a
+   surrogate on its own is not a character at all *)
+let test_json_surrogates () =
+  (match Obs.Json.parse {|"\ud83d\ude00"|} with
+  | Ok (Obs.Json.Str s) ->
+    Alcotest.(check string) "pair decodes to one UTF-8 code point"
+      "\240\159\152\128" s
+  | Ok _ -> Alcotest.fail "not a string"
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun bad ->
+      match Obs.Json.parse bad with
+      | Ok _ -> Alcotest.fail ("accepted lone surrogate: " ^ bad)
+      | Error _ -> ())
+    [ {|"\ud83d"|}; {|"\ud83dx"|}; {|"\ud83d\u0041"|}; {|"\ude00"|};
+      {|"\ude00\ud83d"|} ]
+
+let test_json_printer () =
+  let open Obs.Json in
+  Alcotest.(check string) "compact, fields in order, shortest numbers"
+    ({|{"b":[1,-2.5,0.1,1e+300,null,true],"a":{"s":"q\"b\\\u000a\u001f|}
+    ^ "\200\"}}")
+    (to_string
+       (Obj
+          [ ( "b",
+              Arr [ int 1; Num (-2.5); Num 0.1; Num 1e300; Null; Bool true ] );
+            ("a", Obj [ ("s", Str "q\"b\\\n\031\200") ]) ]));
+  Alcotest.(check string) "17 digits only when needed" "0.30000000000000004"
+    (to_string (Num (0.1 +. 0.2)));
+  List.iter
+    (fun f ->
+      Alcotest.check_raises "non-finite rejected"
+        (Invalid_argument "Json.to_string: non-finite number") (fun () ->
+          ignore (to_string (Arr [ Num f ]))))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+(* random finite values with arbitrary bytes in keys and strings (control
+   characters and bytes >= 0x80 included) survive print-then-parse *)
+let prop_json_round_trip =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 12) in
+  let num =
+    oneof
+      [ map float_of_int (-1_000_000 -- 1_000_000);
+        map (fun f -> if Float.is_finite f then f else 0.0) float ]
+  in
+  let v =
+    sized_size (0 -- 4)
+    @@ fix (fun self depth ->
+           let leaf =
+             oneof
+               [ return Obs.Json.Null;
+                 map (fun b -> Obs.Json.Bool b) bool;
+                 map (fun f -> Obs.Json.Num f) num;
+                 map (fun s -> Obs.Json.Str s) str ]
+           in
+           if depth = 0 then leaf
+           else
+             frequency
+               [ (2, leaf);
+                 ( 1,
+                   map (fun l -> Obs.Json.Arr l)
+                     (list_size (0 -- 5) (self (depth - 1))) );
+                 ( 1,
+                   map (fun l -> Obs.Json.Obj l)
+                     (list_size (0 -- 5) (pair str (self (depth - 1)))) ) ])
+  in
+  QCheck.Test.make ~name:"json parse (to_string v) = v" ~count:500
+    (QCheck.make ~print:Obs.Json.to_string v)
+    (fun v -> Obs.Json.parse (Obs.Json.to_string v) = Ok v)
 
 (* ----- tracer ------------------------------------------------------------- *)
 
@@ -201,7 +272,8 @@ let test_profile_deterministic () =
   let versions = [ P.Config.Std; P.Config.All ] in
   let render_all ~jobs =
     P.Profile.collect_many ~rounds:12 ~jobs ~stack:P.Engine.Tcpip versions
-    |> List.map (fun t -> P.Profile.render t ^ P.Profile.to_json t)
+    |> List.map (fun t ->
+           P.Profile.render t ^ Obs.Json.to_string (P.Profile.to_json t))
     |> String.concat "\n"
   in
   let a = render_all ~jobs:1 in
@@ -216,8 +288,8 @@ let test_trace_deterministic_and_wellformed () =
       ~version:P.Config.Std ()
   in
   let t1 = collect ~jobs:1 in
-  let j1 = P.Timeline.to_json t1 in
-  let j4 = P.Timeline.to_json (collect ~jobs:4) in
+  let j1 = Obs.Json.to_string (P.Timeline.to_json t1) in
+  let j4 = Obs.Json.to_string (P.Timeline.to_json (collect ~jobs:4)) in
   Alcotest.(check string) "trace identical at jobs 1 vs 4" j1 j4;
   Alcotest.(check bool) "events captured" true (P.Timeline.events t1 > 0);
   match Obs.Json.parse j1 with
@@ -229,33 +301,79 @@ let test_trace_deterministic_and_wellformed () =
         (Obs.Json.array_length a > 0)
     | _ -> Alcotest.fail "no traceEvents array")
 
-(* every JSON export carries the same top-level schema_version and still
-   parses with our own parser (the round-trip CI relies on) *)
+(* every JSON export is a Json.v that prints, parses back to the same
+   value with our own parser (the round-trip CI relies on), and carries
+   the same top-level schema_version *)
 let test_schema_version_round_trips () =
-  let check_doc what json =
-    match Obs.Json.parse json with
-    | Error e -> Alcotest.fail (what ^ " JSON does not parse: " ^ e)
-    | Ok v -> (
-      match Obs.Json.member "schema_version" v with
-      | Some (Obs.Json.Num n) ->
-        Alcotest.(check int)
-          (what ^ " schema_version")
-          Obs.Json.schema_version (int_of_float n)
-      | _ -> Alcotest.fail (what ^ ": schema_version missing"))
-  in
   let reg = Obs.Metrics.create () in
   Obs.Metrics.inc (Obs.Metrics.counter reg "c");
-  check_doc "metrics" (Obs.Metrics.to_json reg);
-  let profile =
-    P.Profile.collect ~rounds:12 ~stack:P.Engine.Tcpip ~version:P.Config.All
-      ()
+  let tcp_all = P.Engine.Spec.default ~stack:P.Engine.Tcpip
+      ~config:(P.Config.make P.Config.All)
   in
-  check_doc "profile" (P.Profile.to_json profile);
-  let timeline =
-    P.Timeline.collect ~seeds:1 ~rounds:8 ~stack:P.Engine.Rpc
-      ~version:P.Config.Std ()
+  let spans =
+    lazy
+      (P.Spans.collect ~rounds:8 ~layouts:[ P.Config.Bipartite ]
+         ~stack:P.Engine.Tcpip ~version:P.Config.All ())
   in
-  check_doc "timeline" (P.Timeline.to_json timeline)
+  let chaos_case =
+    P.Chaos.case ~flows:2 ~requests:4 ~seed:3
+      (P.Chaos.gen ~seed:3 ~intensity:2 ~horizon_us:200_000.0)
+  in
+  let exports =
+    [ ("metrics", fun () -> Obs.Metrics.to_json reg);
+      ( "profile",
+        fun () ->
+          P.Profile.to_json
+            (P.Profile.collect ~rounds:12 ~stack:P.Engine.Tcpip
+               ~version:P.Config.All ()) );
+      ( "timeline",
+        fun () ->
+          P.Timeline.to_json
+            (P.Timeline.collect ~seeds:1 ~rounds:8 ~stack:P.Engine.Rpc
+               ~version:P.Config.Std ()) );
+      ("spans", fun () -> P.Spans.to_json (Lazy.force spans));
+      ("spans perfetto", fun () -> P.Spans.perfetto (Lazy.force spans));
+      ( "mflow",
+        fun () ->
+          P.Mflow.to_json
+            (P.Mflow.sweep ~flow_counts:[ 2 ] ~seeds:1
+               ~workload:
+                 { P.Mflow.default_workload with P.Mflow.requests_per_flow = 4 }
+               tcp_all) );
+      ( "incast",
+        fun () ->
+          P.Incast.to_json
+            (P.Incast.sweep
+               ~wl:
+                 { P.Incast.default_workload with
+                   P.Incast.requests_per_client = 2 }
+               ~fan_ins:[ 2 ] ~seeds:1 ~seed:42 ()) );
+      ( "chaos matrix",
+        fun () ->
+          P.Chaos.matrix_to_json
+            (P.Chaos.run_matrix ~flows:2 ~requests:4 ~intensities:[ 1 ]
+               ~seeds:1 ~seed:42 ()) );
+      ( "chaos repro",
+        fun () -> P.Chaos.case_to_json ~expect:[ "at_most_once" ] chaos_case );
+      ( "layout search",
+        fun () ->
+          P.Layoutsearch.to_json
+            (P.Layoutsearch.run ~budget:24 ~seeds:1 ~geometries:[ 8 ]
+               ~stacks:[ P.Engine.Tcpip ] ()) ) ]
+  in
+  List.iter
+    (fun (what, export) ->
+      let v = export () in
+      match Obs.Json.parse (Obs.Json.to_string v) with
+      | Error e -> Alcotest.fail (what ^ " JSON does not parse: " ^ e)
+      | Ok v' ->
+        Alcotest.(check bool) (what ^ " reads back unchanged") true (v' = v);
+        Alcotest.(check bool)
+          (what ^ " schema_version")
+          true
+          (Obs.Json.member "schema_version" v
+          = Some (Obs.Json.int Obs.Json.schema_version)))
+    exports
 
 let test_engine_events_and_metrics () =
   let r =
@@ -289,6 +407,9 @@ let suite =
       Alcotest.test_case "metrics dump sorted, JSON parses" `Quick
         test_metrics_dump_sorted_and_json;
       Alcotest.test_case "json parser" `Quick test_json_parser;
+      Alcotest.test_case "json surrogate pairs" `Quick test_json_surrogates;
+      Alcotest.test_case "json printer layout" `Quick test_json_printer;
+      QCheck_alcotest.to_alcotest prop_json_round_trip;
       Alcotest.test_case "tracer ring buffer" `Quick test_tracer_ring;
       Alcotest.test_case "conflict matrix: cross-interference pair" `Quick
         test_conflict_matrix;

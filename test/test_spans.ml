@@ -128,8 +128,8 @@ let test_off_bit_identity () =
           Alcotest.(check string)
             (Printf.sprintf "%s seed=%d: metrics dump byte-identical" sname
                seed)
-            (Obs.Metrics.to_json off.P.Engine.metrics)
-            (Obs.Metrics.to_json on.P.Engine.metrics))
+            (Obs.Json.to_string (Obs.Metrics.to_json off.P.Engine.metrics))
+            (Obs.Json.to_string (Obs.Metrics.to_json on.P.Engine.metrics)))
         [ 42; 7 ])
     stacks;
   (* spans:false leaves the null ledger in the result *)
@@ -157,7 +157,7 @@ let test_spans_json () =
   (match P.Spans.check t with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("check: " ^ e));
-  match Obs.Json.parse (P.Spans.to_json t) with
+  match Obs.Json.parse (Obs.Json.to_string (P.Spans.to_json t)) with
   | Error e -> Alcotest.fail ("spans JSON does not parse: " ^ e)
   | Ok v ->
     (match Obs.Json.member "schema_version" v with
@@ -186,7 +186,7 @@ let test_spans_json () =
    same id, and both endpoints sit on different hosts of the same process *)
 let test_perfetto_flows () =
   let t = collect_quick () in
-  match Obs.Json.parse (P.Spans.perfetto t) with
+  match Obs.Json.parse (Obs.Json.to_string (P.Spans.perfetto t)) with
   | Error e -> Alcotest.fail ("perfetto JSON does not parse: " ^ e)
   | Ok v ->
     let events =

@@ -231,7 +231,7 @@ let test_chaos_partition_at_port () =
   Alcotest.(check int) "the partition window ran" 1 o.P.Chaos.o_partitions;
   (* on a switched fabric the window must land in the switch's partition
      counter — that is the per-port drop path the pair wiring lacks *)
-  let case_json = P.Chaos.case_to_json case in
+  let case_json = Obs.Json.to_string (P.Chaos.case_to_json case) in
   Alcotest.(check bool) "repro stamps the topology" true
     (let rec contains i =
        i + 8 <= String.length case_json
