@@ -17,6 +17,8 @@ module P = Protolat
 module Table = Protolat_util.Table
 module Xk = Protolat_xkernel
 module T = Protolat_tcpip
+module Image = Protolat_layout.Image
+module Strategy = Protolat_layout.Strategy
 
 let quick = Array.exists (( = ) "quick") Sys.argv
 
@@ -175,12 +177,25 @@ let bechamel_tests () =
            incr i;
            ignore (Protolat_machine.Cache.access c (!i * 68 mod 65536))))
   in
+  (* the CLO client units at the engine's base and 8 KB / 32 B geometry;
+     [Engine.layout_for] would only time its image cache *)
+  let units, order =
+    P.Engine.client_units (P.Config.make P.Config.Clo) P.Engine.Tcpip
+  in
   let image_build =
     Test.make ~name:"image_build_tcpip_bipartite"
       (Staged.stage (fun () ->
            ignore
-             (P.Engine.layout_for (P.Config.make P.Config.Clo) P.Engine.Tcpip
-                ())))
+             (Image.build
+                (Strategy.bipartite ~base:0x10000 ~icache_bytes:8192 ~order
+                   units))))
+  in
+  let micro_position =
+    Test.make ~name:"strategy_micro_position_tcpip"
+      (Staged.stage (fun () ->
+           ignore
+             (Strategy.micro_position ~base:0x10000 ~icache_bytes:8192
+                ~block_bytes:32 ~ref_seq:order units)))
   in
   let roundtrips name version =
     Test.make ~name
@@ -192,6 +207,7 @@ let bechamel_tests () =
   in
   Test.make_grouped ~name:"protolat"
     [ traversal_list; traversal_full; resolve_hit; cksum; cache; image_build;
+      micro_position;
       roundtrips "simulate_roundtrips_std" P.Config.Std;
       roundtrips "simulate_roundtrips_all" P.Config.All ]
 

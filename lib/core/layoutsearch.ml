@@ -139,6 +139,7 @@ type sctx = {
   toggles : int array;  (** indices of toggleable units *)
   unit_of_func : (string, int) Hashtbl.t;
   templates : (string, template) Hashtbl.t;  (** keyed by cold vector *)
+  seeds : (Config.layout * genome option) list;  (** {!named_seeds} *)
 }
 
 let cold_key cold =
@@ -224,6 +225,89 @@ let template_for sctx cold =
     Hashtbl.add sctx.templates k t;
     t
 
+(* ----- named layouts and seeds ---------------------------------------------- *)
+
+(* The exact placements [Engine.build_image] constructs, from the same
+   units and invocation order. *)
+let named_placement sctx layout =
+  let units = Array.to_list sctx.units in
+  let order = sctx.order in
+  match layout with
+  | Config.Link_order ->
+    let sorted =
+      List.sort
+        (fun a b -> compare (Image.unit_name a) (Image.unit_name b))
+        units
+    in
+    Strategy.link_order ~base:code_base sorted
+  | Config.Bipartite ->
+    Strategy.bipartite ~base:code_base ~icache_bytes:icache_ref ~order units
+  | Config.Pessimal ->
+    Strategy.pessimal ~base:code_base ~icache_bytes:icache_ref
+      ~bcache_bytes:bcache_ref units
+  | Config.Micro ->
+    Strategy.micro_position ~base:code_base ~icache_bytes:icache_ref
+      ~block_bytes ~ref_seq:order units
+  | Config.Linear -> Strategy.invocation_order ~base:code_base ~order units
+
+let unit_index sctx name =
+  let rec go i = if sctx.unit_names.(i) = name then i else go (i + 1) in
+  go 0
+
+let genome_of_placement sctx placement =
+  (* replicate the decoder's cursor so each offset can carry the number
+     of whole reference periods the placement deliberately skips *)
+  let cursor = ref code_base in
+  let offs =
+    List.map
+      (fun (u, a) ->
+        let set = a / block_bytes mod nsets_ref in
+        let candidate = (!cursor / icache_ref * icache_ref) + (set * block_bytes) in
+        let minimal =
+          if candidate >= !cursor then candidate else candidate + icache_ref
+        in
+        cursor := a + Image.size_bytes u;
+        set + ((a - minimal) / icache_ref * nsets_ref))
+      placement
+  in
+  { perm =
+      Array.of_list
+        (List.map (fun (u, _) -> unit_index sctx (Image.unit_name u))
+           placement);
+    offs = Array.of_list offs;
+    cold = Array.copy sctx.base_cold }
+
+(* A genome encodes a named placement faithfully iff decoding it lands
+   every unit at the original address — true whenever consecutive
+   placements advance by less than one reference i-cache period, which
+   holds for every strategy except pessimal (whose b-cache multiples are
+   out of genome range by design). *)
+let genome_reproduces sctx g placement =
+  let decoded =
+    Strategy.at_offsets ~base:code_base ~icache_bytes:icache_ref ~block_bytes
+      (Array.to_list
+         (Array.mapi (fun k u -> (sctx.units.(u), g.offs.(k))) g.perm))
+  in
+  List.for_all2
+    (fun (u1, a1) (u2, a2) ->
+      Image.unit_name u1 = Image.unit_name u2 && a1 = a2)
+    decoded placement
+
+(* Every named candidate with its seed genome, when it has one that
+   decodes back to the named placement.  Placements are made at the
+   reference geometry, so this is per stack, never per cell. *)
+let named_seeds sctx =
+  List.map
+    (fun layout ->
+      if List.mem layout seedable_candidates then begin
+        let placement = named_placement sctx layout in
+        let g = genome_of_placement sctx placement in
+        if genome_reproduces sctx g placement then (layout, Some g)
+        else (layout, None)
+      end
+      else (layout, None))
+    named_candidates
+
 let make_sctx stack =
   let config = Config.make Config.Clo in
   let base_layout = Config.layout_of config.Config.version in
@@ -254,8 +338,12 @@ let make_sctx stack =
         (fun f -> Hashtbl.replace unit_of_func f.Layout.Func.name i)
         (Image.unit_funcs u))
     units;
-  { config; stack; base; units; order; nu; unit_names; base_cold; toggleable;
-    toggles; unit_of_func; templates = Hashtbl.create 8 }
+  let sctx =
+    { config; stack; base; units; order; nu; unit_names; base_cold;
+      toggleable; toggles; unit_of_func; templates = Hashtbl.create 8;
+      seeds = [] }
+  in
+  { sctx with seeds = named_seeds sctx }
 
 (* ----- scorer --------------------------------------------------------------- *)
 
@@ -494,74 +582,6 @@ let propose st rng cur =
   end;
   g
 
-(* ----- named layouts and seeds ---------------------------------------------- *)
-
-(* The exact placements [Engine.build_image] constructs, from the same
-   units and invocation order. *)
-let named_placement sctx layout =
-  let units = Array.to_list sctx.units in
-  let order = sctx.order in
-  match layout with
-  | Config.Link_order ->
-    let sorted =
-      List.sort
-        (fun a b -> compare (Image.unit_name a) (Image.unit_name b))
-        units
-    in
-    Strategy.link_order ~base:code_base sorted
-  | Config.Bipartite ->
-    Strategy.bipartite ~base:code_base ~icache_bytes:icache_ref ~order units
-  | Config.Pessimal ->
-    Strategy.pessimal ~base:code_base ~icache_bytes:icache_ref
-      ~bcache_bytes:bcache_ref units
-  | Config.Micro ->
-    Strategy.micro_position ~base:code_base ~icache_bytes:icache_ref
-      ~block_bytes ~ref_seq:order units
-  | Config.Linear -> Strategy.invocation_order ~base:code_base ~order units
-
-let unit_index sctx name =
-  let rec go i = if sctx.unit_names.(i) = name then i else go (i + 1) in
-  go 0
-
-let genome_of_placement sctx placement =
-  (* replicate the decoder's cursor so each offset can carry the number
-     of whole reference periods the placement deliberately skips *)
-  let cursor = ref code_base in
-  let offs =
-    List.map
-      (fun (u, a) ->
-        let set = a / block_bytes mod nsets_ref in
-        let candidate = (!cursor / icache_ref * icache_ref) + (set * block_bytes) in
-        let minimal =
-          if candidate >= !cursor then candidate else candidate + icache_ref
-        in
-        cursor := a + Image.size_bytes u;
-        set + ((a - minimal) / icache_ref * nsets_ref))
-      placement
-  in
-  { perm =
-      Array.of_list
-        (List.map (fun (u, _) -> unit_index sctx (Image.unit_name u))
-           placement);
-    offs = Array.of_list offs;
-    cold = Array.copy sctx.base_cold }
-
-(* A genome encodes a named placement faithfully iff decoding it lands
-   every unit at the original address — true whenever consecutive
-   placements advance by less than one reference i-cache period, which
-   holds for every strategy except pessimal (whose b-cache multiples are
-   out of genome range by design). *)
-let genome_reproduces sctx g placement =
-  let decoded =
-    Strategy.at_offsets ~base:code_base ~icache_bytes:icache_ref ~block_bytes
-      (Array.to_list
-         (Array.mapi (fun k u -> (sctx.units.(u), g.offs.(k))) g.perm))
-  in
-  List.for_all2
-    (fun (u1, a1) (u2, a2) ->
-      Image.unit_name u1 = Image.unit_name u2 && a1 = a2)
-    decoded placement
-
 (* ----- per-cell search ------------------------------------------------------ *)
 
 let stack_seed = function Engine.Tcpip -> 0 | Engine.Rpc -> 1
@@ -597,19 +617,7 @@ let search_cell ~budget ~seeds ~jobs sctx kb =
      genome (one batch), pessimal through a direct image retarget.  Seed
      scores land in the search memo, so best-found can never be worse
      than the best hand-picked layout. *)
-  let seed_info =
-    List.map
-      (fun layout ->
-        if List.mem layout seedable_candidates then begin
-          let placement = named_placement sctx layout in
-          let g = genome_of_placement sctx placement in
-          if genome_reproduces sctx g placement then (layout, Some g)
-          else (layout, None)
-        end
-        else (layout, None))
-      named_candidates
-  in
-  let seed_genomes = List.filter_map snd seed_info in
+  let seed_genomes = List.filter_map snd sctx.seeds in
   ignore (eval_batch st seed_genomes);
   let named =
     List.map
@@ -623,9 +631,11 @@ let search_cell ~budget ~seeds ~jobs sctx kb =
           st.eval_s <- st.eval_s +. (Unix.gettimeofday () -. t0);
           st.evals <- st.evals + 1;
           (layout, us))
-      seed_info
+      sctx.seeds
   in
-  let seeded = List.filter_map (fun (l, g) -> Option.map (fun _ -> l) g) seed_info in
+  let seeded =
+    List.filter_map (fun (l, g) -> Option.map (fun _ -> l) g) sctx.seeds
+  in
   (* start from the best seed *)
   let start, start_us =
     List.fold_left

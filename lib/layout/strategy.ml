@@ -13,10 +13,13 @@ let dense ~base units =
 
 let link_order ~base units = dense ~base units
 
+(* Names rank 0, 1, ... in order of first occurrence; absent ones max_int. *)
 let first_occurrence_rank order =
   let tbl = Hashtbl.create 64 in
-  List.iteri
-    (fun i name -> if not (Hashtbl.mem tbl name) then Hashtbl.replace tbl name i)
+  List.iter
+    (fun name ->
+      if not (Hashtbl.mem tbl name) then
+        Hashtbl.add tbl name (Hashtbl.length tbl))
     order;
   fun name ->
     match Hashtbl.find_opt tbl name with Some i -> i | None -> max_int
@@ -100,80 +103,77 @@ let pessimal ~base ~icache_bytes ~bcache_bytes ?(bconflict_every = 2) units =
 
 (* --- micro-positioning --------------------------------------------------- *)
 
-(* Interleave weight: for consecutive occurrences of [a] in the reference
-   sequence, count occurrences of [b] strictly between them (each such
-   occurrence can evict [a] if they share cache sets). *)
-let interleave_weight seq a b =
-  let w = ref 0 in
-  let inside = ref false in
-  List.iter
-    (fun x ->
-      if x = a then inside := true
-      else if !inside && x = b then incr w)
-    seq;
-  !w
-
 let micro_position ~base ~icache_bytes ~block_bytes ~ref_seq units =
   let nsets = icache_bytes / block_bytes in
   let rank = first_occurrence_rank ref_seq in
   let keyed = List.mapi (fun i u -> (rank (Image.unit_name u), i, u)) units in
   let ordered =
     List.sort (fun (r1, i1, _) (r2, i2, _) -> compare (r1, i1) (r2, i2)) keyed
-    |> List.map (fun (_, _, u) -> u)
   in
-  (* sets occupied by a placement: [start_set, start_set + nblocks) mod nsets *)
-  let sets_of offset_blocks size_bytes =
-    let nblocks = (size_bytes + block_bytes - 1) / block_bytes in
-    List.init (min nblocks nsets) (fun i -> (offset_blocks + i) mod nsets)
-  in
+  (* Interleave weights over the ranks [0, k) of the names in [ref_seq]:
+     [w.(a * k + b)] counts the occurrences of [b] after the first
+     occurrence of [a] (each can evict [a] if the two share cache sets),
+     and is 0 when [a = b].  One backward pass: [after] counts each rank
+     past position [i] and is copied into row [a] at every occurrence of
+     [a], so the first occurrence writes last. *)
+  let seq = Array.of_list (List.map rank ref_seq) in
+  let k = Array.fold_left max (-1) seq + 1 in
+  let w = Array.make (k * k) 0 and after = Array.make k 0 in
+  for i = Array.length seq - 1 downto 0 do
+    let a = seq.(i) in
+    Array.blit after 0 w (a * k) k;
+    w.((a * k) + a) <- 0;
+    after.(a) <- after.(a) + 1
+  done;
+  (* [occ.(s)]: summed pair weight of the placed units occupying set [s];
+     [pre]: its prefix sums, so the cost of the sets a placement occupies,
+     [start, start + min nblocks nsets) mod nsets, is two lookups *)
+  let occ = Array.make nsets 0 and pre = Array.make (nsets + 1) 0 in
   let placed = ref [] in
-  (* (name, offset_blocks, size) *)
+  (* (rank, first set, sets occupied) of the placed units named in
+     [ref_seq]; the others weigh 0 against every unit *)
   let cursor = ref base in
-  let result =
-    List.map
-      (fun u ->
-        let name = Image.unit_name u in
-        let size = Image.size_bytes u in
-        let cost offset =
-          List.fold_left
-            (fun acc (qname, qoff, qsize) ->
-              let mine = sets_of offset size in
-              let theirs = sets_of qoff qsize in
-              let overlap =
-                List.length (List.filter (fun s -> List.mem s theirs) mine)
-              in
-              if overlap = 0 then acc
-              else
-                acc
-                + overlap
-                  * (interleave_weight ref_seq name qname
-                    + interleave_weight ref_seq qname name))
-            0 !placed
+  List.map
+    (fun (a, _, u) ->
+      let size = Image.size_bytes u in
+      let m = min ((size + block_bytes - 1) / block_bytes) nsets in
+      Array.fill occ 0 nsets 0;
+      if a < k then
+        List.iter
+          (fun (q, start, mq) ->
+            let wq = w.((a * k) + q) + w.((q * k) + a) in
+            if wq <> 0 then
+              for j = start to start + mq - 1 do
+                occ.(j mod nsets) <- occ.(j mod nsets) + wq
+              done)
+          !placed;
+      for s = 0 to nsets - 1 do pre.(s + 1) <- pre.(s) + occ.(s) done;
+      let cost o =
+        if o + m <= nsets then pre.(o + m) - pre.(o)
+        else pre.(nsets) - pre.(o) + pre.(o + m - nsets)
+      in
+      (* candidate offsets at block granularity; prefer the dense position
+         (cursor's own offset) on ties to limit gaps *)
+      let dense_off = !cursor / block_bytes mod nsets in
+      let best = ref dense_off and best_cost = ref (cost dense_off) in
+      for o = 0 to nsets - 1 do
+        let c = cost o in
+        if c < !best_cost then begin
+          best := o;
+          best_cost := c
+        end
+      done;
+      let offset_bytes = !best * block_bytes in
+      let addr =
+        let candidate =
+          (!cursor / icache_bytes * icache_bytes) + offset_bytes
         in
-        (* candidate offsets at block granularity; prefer the dense position
-           (cursor's own offset) on ties to limit gaps *)
-        let dense_off = !cursor / block_bytes mod nsets in
-        let best = ref dense_off and best_cost = ref (cost dense_off) in
-        for o = 0 to nsets - 1 do
-          let c = cost o in
-          if c < !best_cost then begin
-            best := o;
-            best_cost := c
-          end
-        done;
-        let offset_bytes = !best * block_bytes in
-        let addr =
-          let candidate =
-            (!cursor / icache_bytes * icache_bytes) + offset_bytes
-          in
-          if candidate >= !cursor then candidate else candidate + icache_bytes
-        in
-        placed := (name, !best, size) :: !placed;
-        cursor := addr + size;
-        (u, addr))
-      ordered
-  in
-  result
+        if candidate >= !cursor then candidate else candidate + icache_bytes
+      in
+      if a < k then placed := (a, !best, m) :: !placed;
+      cursor := addr + size;
+      (u, addr))
+    ordered
 
 (* Genome decoder for layout search: units arrive in the order the genome
    dictates, each tagged with a desired i-cache set offset in blocks

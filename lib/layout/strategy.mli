@@ -39,7 +39,7 @@ val pessimal :
   Image.unit_spec list ->
   placement
 (** Every unit starts at the same i-cache set (stride = i-cache size); every
-    [bconflict_every]-th unit (default 6) is additionally placed a multiple
+    [bconflict_every]-th unit (default 2) is additionally placed a multiple
     of the b-cache size away so that a few functions collide in the b-cache
     as well, as observed for the paper's BAD configuration. *)
 
@@ -50,11 +50,18 @@ val micro_position :
   ref_seq:string list ->
   Image.unit_spec list ->
   placement
-(** Trace-driven greedy placement: for each unit (in first-reference order)
-    choose the i-cache offset minimizing predicted replacement conflicts
-    with already-placed units, weighted by how often the two units
-    interleave in [ref_seq].  Introduces gaps: the physical address is the
-    lowest free address congruent to the chosen offset. *)
+(** Trace-driven greedy placement.  Units are taken in order of first
+    reference in [ref_seq] (unmentioned ones last, in list order); each
+    gets the i-cache set offset (in blocks) that minimizes its predicted
+    replacement conflicts with the units already placed: the sum, over
+    each placed unit [q], of the number of i-cache sets the two share
+    times the interleave weight [w(u,q) + w(q,u)], where [w(a,b)] counts
+    the occurrences of [b] in [ref_seq] after the first occurrence of [a]
+    (0 if [a = b] or either is absent).  Ties keep the dense offset (the
+    cursor's own), then the lowest.  Introduces gaps: the physical address
+    is the lowest address at or past the previous unit's end congruent to
+    the chosen offset.  Cost: O(|ref_seq| x distinct names) for the
+    weights, then O(i-cache sets + placed blocks) per unit. *)
 
 val at_offsets :
   base:int ->

@@ -1,3 +1,4 @@
+module P = Protolat
 module L = Protolat_layout
 module Instr = Protolat_machine.Instr
 module Block = L.Block
@@ -214,6 +215,168 @@ let test_micro_no_overlap () =
   in
   Alcotest.(check bool) "no overlap" true (no_overlap p)
 
+(* ----- micro-positioning oracle --------------------------------------------- *)
+
+(* The list-based micro-positioning that [Strategy.micro_position]
+   replaced, kept as the reference it must agree with placement for
+   placement.  It ranks names by the index of their first occurrence, and
+   recomputes set intersections and interleave weights at every offset. *)
+let reference_rank order =
+  let tbl = Hashtbl.create 64 in
+  List.iteri
+    (fun i name -> if not (Hashtbl.mem tbl name) then Hashtbl.replace tbl name i)
+    order;
+  fun name ->
+    match Hashtbl.find_opt tbl name with Some i -> i | None -> max_int
+
+(* Interleave weight: count the occurrences of [b] after the first
+   occurrence of [a] (each such occurrence can evict [a] if they share
+   cache sets); 0 if [a = b] or [a] is absent. *)
+let interleave_weight seq a b =
+  let w = ref 0 in
+  let inside = ref false in
+  List.iter
+    (fun x ->
+      if x = a then inside := true
+      else if !inside && x = b then incr w)
+    seq;
+  !w
+
+let micro_reference ~base ~icache_bytes ~block_bytes ~ref_seq units =
+  let nsets = icache_bytes / block_bytes in
+  let rank = reference_rank ref_seq in
+  let keyed = List.mapi (fun i u -> (rank (Image.unit_name u), i, u)) units in
+  let ordered =
+    List.sort (fun (r1, i1, _) (r2, i2, _) -> compare (r1, i1) (r2, i2)) keyed
+    |> List.map (fun (_, _, u) -> u)
+  in
+  (* sets occupied by a placement: [start_set, start_set + nblocks) mod nsets *)
+  let sets_of offset_blocks size_bytes =
+    let nblocks = (size_bytes + block_bytes - 1) / block_bytes in
+    List.init (min nblocks nsets) (fun i -> (offset_blocks + i) mod nsets)
+  in
+  let placed = ref [] in
+  (* (name, offset_blocks, size) *)
+  let cursor = ref base in
+  let result =
+    List.map
+      (fun u ->
+        let name = Image.unit_name u in
+        let size = Image.size_bytes u in
+        let cost offset =
+          List.fold_left
+            (fun acc (qname, qoff, qsize) ->
+              let mine = sets_of offset size in
+              let theirs = sets_of qoff qsize in
+              let overlap =
+                List.length (List.filter (fun s -> List.mem s theirs) mine)
+              in
+              if overlap = 0 then acc
+              else
+                acc
+                + overlap
+                  * (interleave_weight ref_seq name qname
+                    + interleave_weight ref_seq qname name))
+            0 !placed
+        in
+        (* candidate offsets at block granularity; prefer the dense position
+           (cursor's own offset) on ties to limit gaps *)
+        let dense_off = !cursor / block_bytes mod nsets in
+        let best = ref dense_off and best_cost = ref (cost dense_off) in
+        for o = 0 to nsets - 1 do
+          let c = cost o in
+          if c < !best_cost then begin
+            best := o;
+            best_cost := c
+          end
+        done;
+        let offset_bytes = !best * block_bytes in
+        let addr =
+          let candidate =
+            (!cursor / icache_bytes * icache_bytes) + offset_bytes
+          in
+          if candidate >= !cursor then candidate else candidate + icache_bytes
+        in
+        placed := (name, !best, size) :: !placed;
+        cursor := addr + size;
+        (u, addr))
+      ordered
+  in
+  result
+
+let placed_names p = List.map (fun (u, a) -> (Image.unit_name u, a)) p
+
+let micro_agrees ~base ~icache_bytes ~block_bytes ~ref_seq units =
+  placed_names
+    (Strategy.micro_position ~base ~icache_bytes ~block_bytes ~ref_seq units)
+  = placed_names
+      (micro_reference ~base ~icache_bytes ~block_bytes ~ref_seq units)
+
+type micro_case = {
+  m_sizes : int list;  (** instructions of each unit's one hot block *)
+  m_ref_seq : string list;
+  m_icache : int;
+  m_block : int;
+  m_base : int;
+}
+
+let micro_units c =
+  List.mapi
+    (fun i n ->
+      Image.single (Func.make ~name:(Printf.sprintf "u%d" i) [ hot "h" n ]))
+    c.m_sizes
+
+(* Units of 1-600 instructions (the large ones overflow a small i-cache
+   and hit the [min nblocks nsets] clamp); a reference sequence with
+   repeats, names of no unit and units it never names; i-caches of 1-32
+   KB with 16-64 B blocks at a random base. *)
+let gen_micro_case =
+  let open QCheck.Gen in
+  let size = frequency [ (4, int_range 1 60); (1, int_range 61 600) ] in
+  let* m_sizes =
+    frequency
+      [ (1, map (fun n -> [ n ]) size); (6, list_size (int_range 2 8) size) ]
+  in
+  let n = List.length m_sizes in
+  let name =
+    frequency
+      [ (5, map (Printf.sprintf "u%d") (int_bound (n - 1)));
+        (1, map (Printf.sprintf "x%d") (int_bound 2)) ]
+  in
+  let* m_ref_seq = list_size (int_bound 24) name in
+  let* m_icache = map (fun k -> 1024 lsl k) (int_bound 5) in
+  let* m_block = oneofl [ 16; 32; 64 ] in
+  let+ m_base = int_bound 0xFFFFF in
+  { m_sizes; m_ref_seq; m_icache; m_block; m_base }
+
+let print_micro_case c =
+  Printf.sprintf "sizes=[%s] ref_seq=[%s] icache=%dB block=%dB base=0x%x"
+    (String.concat ";" (List.map string_of_int c.m_sizes))
+    (String.concat ";" c.m_ref_seq) c.m_icache c.m_block c.m_base
+
+let prop_micro_oracle =
+  QCheck.Test.make ~name:"micro position matches list reference" ~count:300
+    (QCheck.make ~print:print_micro_case gen_micro_case) (fun c ->
+      micro_agrees ~base:c.m_base ~icache_bytes:c.m_icache
+        ~block_bytes:c.m_block ~ref_seq:c.m_ref_seq (micro_units c))
+
+(* Every unit set and invocation order the engine can micro-position:
+   both stacks, every version, at the engine's 8 KB / 32 B geometry. *)
+let test_micro_real_inputs () =
+  List.iter
+    (fun stack ->
+      List.iter
+        (fun v ->
+          let units, order = P.Engine.client_units (P.Config.make v) stack in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s" (P.Engine.stack_name stack)
+               (P.Config.version_name v))
+            true
+            (micro_agrees ~base:0x10000 ~icache_bytes:8192 ~block_bytes:32
+               ~ref_seq:order units))
+        P.Config.all_versions)
+    [ P.Engine.Tcpip; P.Engine.Rpc ]
+
 let test_icache_pressure () =
   let img =
     Image.build
@@ -237,7 +400,10 @@ let test_pessimal_gaps_positive () =
 
 let extra_suite =
   [ Alcotest.test_case "icache pressure" `Quick test_icache_pressure;
-    Alcotest.test_case "pessimal gaps" `Quick test_pessimal_gaps_positive ]
+    Alcotest.test_case "pessimal gaps" `Quick test_pessimal_gaps_positive;
+    QCheck_alcotest.to_alcotest prop_micro_oracle;
+    Alcotest.test_case "micro oracle on engine inputs" `Slow
+      test_micro_real_inputs ]
 
 let suite =
   ( "layout",
