@@ -197,6 +197,36 @@ let bechamel_tests () =
              (Strategy.micro_position ~base:0x10000 ~icache_bytes:8192
                 ~block_bytes:32 ~ref_seq:order units)))
   in
+  (* the layout scorer's per-candidate steps on the CLO TCP/IP trace: the
+     scratch reset after a cold replay (the clear costs the sets the
+     replay filled), and the rebind of its segmentation to the bipartite
+     placement *)
+  let module M = Protolat_machine in
+  let base =
+    P.Engine.run
+      (P.Engine.Spec.make ~stack:P.Engine.Tcpip
+         ~config:(P.Config.make P.Config.Clo) ())
+  in
+  let trace = base.P.Engine.trace in
+  let scratch = M.Memsys.create M.Params.default in
+  let memsys_clear =
+    Test.make ~name:"memsys_clear_scratch"
+      (Staged.stage (fun () ->
+           ignore (M.Memsys.run scratch trace);
+           M.Memsys.clear scratch))
+  in
+  let bc0 = M.Blockcache.segment M.Params.default trace in
+  let bipartite =
+    Image.build
+      (Strategy.bipartite ~base:0x10000 ~icache_bytes:8192 ~order units)
+  in
+  let rebound =
+    M.Trace.map_pcs (Image.pc_map base.P.Engine.client_image bipartite) trace
+  in
+  let rebind =
+    Test.make ~name:"blockcache_rebind_tcpip"
+      (Staged.stage (fun () -> ignore (M.Blockcache.rebind bc0 rebound)))
+  in
   let roundtrips name version =
     Test.make ~name
       (Staged.stage (fun () ->
@@ -207,7 +237,7 @@ let bechamel_tests () =
   in
   Test.make_grouped ~name:"protolat"
     [ traversal_list; traversal_full; resolve_hit; cksum; cache; image_build;
-      micro_position;
+      micro_position; memsys_clear; rebind;
       roundtrips "simulate_roundtrips_std" P.Config.Std;
       roundtrips "simulate_roundtrips_all" P.Config.All ]
 

@@ -112,16 +112,15 @@ let copy_genome g =
 (* ----- per-stack context ---------------------------------------------------- *)
 
 (* Everything needed to turn a genome into the pc column of the retargeted
-   trace by pure arithmetic, for one clone-toggle vector.  Under a fixed
-   vector every placement is a translation of each unit's slots plus a
-   prefix-sum relocation of the shared cold region, so one template image
-   per vector replaces an [Image.build] per candidate — the difference
-   between ~600 and >1000 candidates/sec. *)
-type template = {
+   trace by pure arithmetic.  Every placement translates each unit's slots
+   and relocates the shared cold region by prefix sums, and a unit's
+   numbers depend on its own clone toggle only, so two variants — all
+   toggleable units' cold blocks in line, and all deferred — serve every
+   clone vector without an [Image.build] per candidate. *)
+type variant = {
   sizes : int array;  (** unit footprint at its base address *)
   cold_sizes : int array;  (** unit's chunk of the shared cold region *)
   last_end : int array;  (** (last slot byte end) - unit base *)
-  ev_unit : int array;  (** per trace event: owning unit *)
   ev_cold : Bytes.t;  (** per trace event: 1 if in the cold region *)
   ev_off : int array;  (** per trace event: offset from the unit's anchor *)
 }
@@ -138,36 +137,42 @@ type sctx = {
   toggleable : bool array;
   toggles : int array;  (** indices of toggleable units *)
   unit_of_func : (string, int) Hashtbl.t;
-  templates : (string, template) Hashtbl.t;  (** keyed by cold vector *)
+  ev_unit : int array;  (** per trace event: owning unit *)
+  variants : variant array;  (** indexed by the clone toggle: 0 off, 1 on *)
   seeds : (Config.layout * genome option) list;  (** {!named_seeds} *)
 }
 
-let cold_key cold =
-  String.init (Array.length cold) (fun i -> if cold.(i) then '1' else '0')
+let base_run s = s.base
 
-let apply_cold sctx cold =
-  Array.mapi
-    (fun i u ->
-      if cold.(i) <> sctx.base_cold.(i) then Image.set_separate_cold u cold.(i)
-      else u)
-    sctx.units
+(* The placement a genome decodes to. *)
+let placement_of sctx g =
+  let t_units =
+    Array.mapi
+      (fun i u ->
+        if g.cold.(i) <> sctx.base_cold.(i) then
+          Image.set_separate_cold u g.cold.(i)
+        else u)
+      sctx.units
+  in
+  Strategy.at_offsets ~base:code_base ~icache_bytes:icache_ref ~block_bytes
+    (Array.to_list (Array.mapi (fun k u -> (t_units.(u), g.offs.(k))) g.perm))
 
-let build_template sctx cold =
-  let t_units = apply_cold sctx cold in
+(* Locate every trace event in the canonical dense placement of clone
+   vector [cold]; an event's owning unit does not depend on the toggles. *)
+let build_variant sctx cold =
   let placement =
-    Strategy.at_offsets ~base:code_base ~icache_bytes:icache_ref ~block_bytes
-      (Array.to_list (Array.map (fun u -> (u, -1)) t_units))
+    placement_of sctx
+      { perm = Array.init sctx.nu Fun.id; offs = Array.make sctx.nu (-1); cold }
   in
   let img = Image.build placement in
   let bases = Array.of_list (List.map snd placement) in
+  let t_units = Array.of_list (List.map fst placement) in
   let sizes = Array.map Image.size_bytes t_units in
   let cold_sizes = Array.map Image.cold_size_bytes t_units in
   let nu = sctx.nu in
   let tpre = Array.make nu 0 in
-  let acc = ref 0 in
-  for i = 0 to nu - 1 do
-    tpre.(i) <- !acc;
-    acc := !acc + cold_sizes.(i)
+  for i = 1 to nu - 1 do
+    tpre.(i) <- tpre.(i - 1) + cold_sizes.(i - 1)
   done;
   let cold_start =
     List.fold_left
@@ -214,16 +219,7 @@ let build_template sctx cold =
       ev_off.(i) <- tpc - bases.(u)
     end
   done;
-  { sizes; cold_sizes; last_end; ev_unit; ev_cold; ev_off }
-
-let template_for sctx cold =
-  let k = cold_key cold in
-  match Hashtbl.find_opt sctx.templates k with
-  | Some t -> t
-  | None ->
-    let t = build_template sctx cold in
-    Hashtbl.add sctx.templates k t;
-    t
+  (ev_unit, { sizes; cold_sizes; last_end; ev_cold; ev_off })
 
 (* ----- named layouts and seeds ---------------------------------------------- *)
 
@@ -283,11 +279,7 @@ let genome_of_placement sctx placement =
    holds for every strategy except pessimal (whose b-cache multiples are
    out of genome range by design). *)
 let genome_reproduces sctx g placement =
-  let decoded =
-    Strategy.at_offsets ~base:code_base ~icache_bytes:icache_ref ~block_bytes
-      (Array.to_list
-         (Array.mapi (fun k u -> (sctx.units.(u), g.offs.(k))) g.perm))
-  in
+  let decoded = placement_of sctx g in
   List.for_all2
     (fun (u1, a1) (u2, a2) ->
       Image.unit_name u1 = Image.unit_name u2 && a1 = a2)
@@ -340,44 +332,41 @@ let make_sctx stack =
     units;
   let sctx =
     { config; stack; base; units; order; nu; unit_names; base_cold;
-      toggleable; toggles; unit_of_func; templates = Hashtbl.create 8;
+      toggleable; toggles; unit_of_func; ev_unit = [||]; variants = [||];
       seeds = [] }
   in
-  { sctx with seeds = named_seeds sctx }
+  let variant on =
+    build_variant sctx
+      (Array.mapi (fun i c -> if toggleable.(i) then on else c) base_cold)
+  in
+  let ev_unit, off = variant false and _, on = variant true in
+  { sctx with ev_unit; variants = [| off; on |]; seeds = named_seeds sctx }
 
 (* ----- scorer --------------------------------------------------------------- *)
 
+(* One cell's scorer: the base trace segmented at the cell's geometry and
+   a scratch hierarchy, cleared per candidate instead of created — valid
+   because every rebind starts with fresh generation snapshots.  A cell
+   runs on one domain, so the scratch is never shared. *)
 type cctx = {
   s : sctx;
-  icache_kb : int;
   params : Params.t;
   bc0 : Blockcache.t;
-  pairs : (int * int * int) array;  (* (victim unit, evictor unit, count) *)
-  pair_total : int;
+  scratch : Memsys.t;
 }
 
-(* Per-domain scratch hierarchy: [Memsys.clear] per candidate instead of
-   [Memsys.create], valid across candidates because every rebind starts
-   with fresh generation snapshots.  Keyed by params so a geometry switch
-   reallocates. *)
-let scratch_slot : (Params.t * Memsys.t) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let scratch_for p =
-  let r = Domain.DLS.get scratch_slot in
-  match !r with
-  | Some (p', m) when p' = p -> m
-  | _ ->
-    let m = Memsys.create p in
-    r := Some (p, m);
-    m
+let make_cctx s kb =
+  let params = { Params.default with Params.icache_bytes = kb * 1024 } in
+  { s; params; bc0 = Blockcache.segment params s.base.Engine.trace;
+    scratch = Memsys.create params }
 
 (* Decode a genome to the candidate's pc column: place units with the
    [Strategy.at_offsets] cursor arithmetic, derive the shared cold
    region's start the way [Image.build] does, then anchor every event's
-   precomputed (unit, offset). *)
-let candidate_pcs cc tmpl g =
-  let nu = cc.s.nu in
+   precomputed offset, taken from its unit's clone variant. *)
+let candidate_pcs s g =
+  let nu = s.nu in
+  let var u = s.variants.(if g.cold.(u) then 1 else 0) in
   let ubase = Array.make nu 0 and cbase = Array.make nu 0 in
   let cursor = ref code_base and max_addr = ref 0 in
   for k = 0 to nu - 1 do
@@ -395,8 +384,8 @@ let candidate_pcs cc tmpl g =
       end
     in
     ubase.(u) <- addr;
-    cursor := addr + tmpl.sizes.(u);
-    let e = addr + tmpl.last_end.(u) in
+    cursor := addr + (var u).sizes.(u);
+    let e = addr + (var u).last_end.(u) in
     if e > !max_addr then max_addr := e
   done;
   let cold_start = (!max_addr + 4096 + 31) / 32 * 32 in
@@ -404,19 +393,20 @@ let candidate_pcs cc tmpl g =
   for k = 0 to nu - 1 do
     let u = g.perm.(k) in
     cbase.(u) <- cold_start + !pre;
-    pre := !pre + tmpl.cold_sizes.(u)
+    pre := !pre + (var u).cold_sizes.(u)
   done;
-  let ev_unit = tmpl.ev_unit and ev_off = tmpl.ev_off in
-  let ev_cold = tmpl.ev_cold in
+  let ev_unit = s.ev_unit and cold = g.cold in
+  let v0 = s.variants.(0) and v1 = s.variants.(1) in
   let len = Array.length ev_unit in
   let pcs = Array.make len 0 in
   for i = 0 to len - 1 do
     let u = Array.unsafe_get ev_unit i in
+    let v = if Array.unsafe_get cold u then v1 else v0 in
     let b =
-      if Bytes.unsafe_get ev_cold i = '\001' then Array.unsafe_get cbase u
+      if Bytes.unsafe_get v.ev_cold i = '\001' then Array.unsafe_get cbase u
       else Array.unsafe_get ubase u
     in
-    Array.unsafe_set pcs i (b + Array.unsafe_get ev_off i)
+    Array.unsafe_set pcs i (b + Array.unsafe_get v.ev_off i)
   done;
   pcs
 
@@ -429,12 +419,13 @@ let scorer_warmup = 1
 
 let score_trace cc trace' =
   let bc' = Blockcache.rebind cc.bc0 trace' in
-  (snd (Perf.measure ~warmup:scorer_warmup ~scratch:(scratch_for cc.params) bc'))
+  (snd (Perf.measure ~warmup:scorer_warmup ~scratch:cc.scratch bc'))
     .Perf.time_us
 
-let score_genome cc tmpl g =
-  let pcs = candidate_pcs cc tmpl g in
-  score_trace cc (Trace.remap_pcs cc.s.base.Engine.trace pcs)
+let score_genome cc g =
+  score_trace cc (Trace.remap_pcs cc.s.base.Engine.trace (candidate_pcs cc.s g))
+
+let scorer s ~icache_kb = score_genome (make_cctx s icache_kb)
 
 (* Score an arbitrary pre-built image (named strategies, incl. pessimal)
    through the same incremental path, so every number in a cell is the
@@ -449,8 +440,9 @@ let score_image cc img =
 
 type state = {
   cc : cctx;
+  pairs : (int * int * int) array;  (* (victim unit, evictor unit, count) *)
+  pair_total : int;
   budget : int;
-  jobs : int;
   memo : (string, float) Hashtbl.t;
   mutable evals : int;
   mutable eval_s : float;
@@ -465,46 +457,21 @@ let note_best st g us =
     st.best <- Some (g, us);
     st.traj <- { eval = st.evals; us } :: st.traj
 
-(* Score a batch.  Proposals were generated on this domain; only the pure
-   scoring fans out, and [Dpool.run] returns submission-order results, so
-   memo/best/trajectory updates are identical at any job count.  Memo
-   hits are free; fresh genomes consume budget. *)
+(* Score a batch in proposal order.  Memo hits are free; fresh genomes
+   consume budget. *)
 let eval_batch st genomes =
-  let fresh = ref [] and n_fresh = ref 0 in
-  let seen = Hashtbl.create 16 in
   List.iter
     (fun g ->
       let k = genome_key g in
-      if
-        (not (Hashtbl.mem st.memo k))
-        && (not (Hashtbl.mem seen k))
-        && st.evals + !n_fresh < st.budget
-      then begin
-        Hashtbl.add seen k ();
-        incr n_fresh;
-        fresh := (k, g) :: !fresh
-      end)
-    genomes;
-  let fresh = List.rev !fresh in
-  if fresh <> [] then begin
-    let tasks =
-      List.map
-        (fun (_, g) ->
-          (* resolve the template here: the table is not thread-safe *)
-          let tmpl = template_for st.cc.s g.cold in
-          fun () -> score_genome st.cc tmpl g)
-        fresh
-    in
-    let t0 = Unix.gettimeofday () in
-    let scores = Dpool.run ~jobs:st.jobs tasks in
-    st.eval_s <- st.eval_s +. (Unix.gettimeofday () -. t0);
-    List.iter2
-      (fun (k, g) us ->
+      if (not (Hashtbl.mem st.memo k)) && st.evals < st.budget then begin
+        let t0 = Unix.gettimeofday () in
+        let us = score_genome st.cc g in
+        st.eval_s <- st.eval_s +. (Unix.gettimeofday () -. t0);
         st.evals <- st.evals + 1;
         Hashtbl.replace st.memo k us;
-        note_best st g us)
-      fresh scores
-  end;
+        note_best st g us
+      end)
+    genomes;
   List.map (fun g -> Hashtbl.find_opt st.memo (genome_key g)) genomes
 
 (* ----- moves ---------------------------------------------------------------- *)
@@ -513,13 +480,13 @@ let pos_of g u =
   let rec go k = if g.perm.(k) = u then k else go (k + 1) in
   go 0
 
-let pick_pair cc rng =
-  if Array.length cc.pairs = 0 || cc.pair_total <= 0 then None
+let pick_pair st rng =
+  if Array.length st.pairs = 0 || st.pair_total <= 0 then None
   else begin
-    let r = Rng.int rng cc.pair_total in
+    let r = Rng.int rng st.pair_total in
     let rec go i acc =
-      let ((_, _, c) as p) = cc.pairs.(i) in
-      if r < acc + c || i = Array.length cc.pairs - 1 then p
+      let ((_, _, c) as p) = st.pairs.(i) in
+      if r < acc + c || i = Array.length st.pairs - 1 then p
       else go (i + 1) (acc + c)
     in
     Some (go 0 0)
@@ -531,11 +498,10 @@ let pick_pair cc rng =
    dense behind the evictor (adjacent code cannot conflict), drop an
    offset back to dense packing, or flip a clone toggle. *)
 let propose st rng cur =
-  let cc = st.cc in
-  let s = cc.s in
+  let s = st.cc.s in
   let g = copy_genome cur in
   let u, v =
-    match pick_pair cc rng with
+    match pick_pair st rng with
     | Some (vi, ev, _) -> if Rng.bool rng then (vi, ev) else (ev, vi)
     | None ->
       let a = Rng.int rng s.nu in
@@ -586,14 +552,11 @@ let propose st rng cur =
 
 let stack_seed = function Engine.Tcpip -> 0 | Engine.Rpc -> 1
 
-let search_cell ~budget ~seeds ~jobs sctx kb =
-  let params =
-    { Params.default with Params.icache_bytes = kb * 1024 }
-  in
-  let trace = sctx.base.Engine.trace in
-  let bc0 = Blockcache.segment params trace in
+let search_cell ~budget ~seeds sctx kb =
+  let cc = make_cctx sctx kb in
   (* guidance: the conflict matrix of the base layout at this geometry *)
-  let attrib = Obs.Attrib.profile params sctx.base.Engine.client_image trace in
+  let { Engine.client_image; trace; _ } = sctx.base in
+  let attrib = Obs.Attrib.profile cc.params client_image trace in
   let pairs =
     Obs.Attrib.top_conflicts ~k:16 attrib
     |> List.filter_map (fun (c : Obs.Attrib.conflict) ->
@@ -606,12 +569,9 @@ let search_cell ~budget ~seeds ~jobs sctx kb =
     |> Array.of_list
   in
   let pair_total = Array.fold_left (fun a (_, _, c) -> a + c) 0 pairs in
-  let cc =
-    { s = sctx; icache_kb = kb; params; bc0; pairs; pair_total }
-  in
   let st =
-    { cc; budget; jobs; memo = Hashtbl.create 1024; evals = 0; eval_s = 0.0;
-      best = None; traj = [] }
+    { cc; pairs; pair_total; budget; memo = Hashtbl.create 1024; evals = 0;
+      eval_s = 0.0; best = None; traj = [] }
   in
   (* Named layouts: the four representable ones score through their seed
      genome (one batch), pessimal through a direct image retarget.  Seed
@@ -736,13 +696,15 @@ let search_cell ~budget ~seeds ~jobs sctx kb =
 let run ?(budget = 600) ?(seeds = 2) ?(geometries = all_geometries)
     ?(stacks = [ Engine.Tcpip; Engine.Rpc ]) ?(jobs = 1) () =
   let t0 = Unix.gettimeofday () in
+  (* cells share nothing mutable: identical results at any [jobs] *)
+  let sctxs = Dpool.run ~jobs (List.map (fun st () -> make_sctx st) stacks) in
   let cells =
-    List.concat_map
-      (fun stack ->
-        let sctx = make_sctx stack in
-        List.map (fun kb -> search_cell ~budget ~seeds ~jobs sctx kb)
-          geometries)
-      stacks
+    Dpool.run ~jobs
+      (List.concat_map
+         (fun sctx ->
+           List.map (fun kb () -> search_cell ~budget ~seeds sctx kb)
+             geometries)
+         sctxs)
   in
   { cells; budget; seeds; jobs; wall_s = Unix.gettimeofday () -. t0 }
 
@@ -765,30 +727,16 @@ let digest (t : t) =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let check (t : t) =
-  let sctxs = Hashtbl.create 2 in
-  let ctx_for stack =
-    match Hashtbl.find_opt sctxs stack with
-    | Some s -> s
-    | None ->
-      let s = make_sctx stack in
-      Hashtbl.add sctxs stack s;
-      s
+  let sctxs =
+    List.map (fun st -> (st, lazy (make_sctx st))) [ Engine.Tcpip; Engine.Rpc ]
   in
+  let ctx_for stack = Lazy.force (List.assoc stack sctxs) in
   let problem = ref None in
   List.iter
     (fun (c : cell) ->
       if !problem = None then begin
         let s = ctx_for c.stack in
-        let t_units = apply_cold s c.best.cold in
-        let placement =
-          Strategy.at_offsets ~base:code_base ~icache_bytes:icache_ref
-            ~block_bytes
-            (Array.to_list
-               (Array.mapi
-                  (fun k u -> (t_units.(u), c.best.offs.(k)))
-                  c.best.perm))
-        in
-        let img = Image.build placement in
+        let img = Image.build (placement_of s c.best) in
         let params =
           { Params.default with Params.icache_bytes = c.icache_kb * 1024 }
         in

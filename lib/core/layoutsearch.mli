@@ -7,20 +7,21 @@
     placement by {!Protolat_layout.Strategy.at_offsets} and scored
     through the incremental replay path: the base run's steady-state
     trace is retargeted to the candidate by pure address arithmetic
-    against a per-clone-vector template image (no {!Protolat_layout.Image.build}
-    per candidate), re-bound with {!Protolat_machine.Blockcache.rebind},
-    and replayed against a reused scratch hierarchy
-    ({!Protolat_machine.Perf.measure} with [~scratch]) — bit-identical to a full
-    simulation of the decoded image, at ≥1000 candidates/sec on one core.
+    against two clone variants per stack (every toggleable unit's cold
+    blocks in line, and all deferred: a unit's numbers depend on its own
+    toggle only, so no candidate builds an image), re-bound with
+    {!Protolat_machine.Blockcache.rebind}, and replayed against the cell's
+    scratch hierarchy ({!Protolat_machine.Perf.measure} with [~scratch]) —
+    bit-identical to a full simulation of the decoded image.
 
     Moves are guided by the {!Protolat_obs.Attrib} i-cache conflict
     matrix ({!Protolat_obs.Attrib.top_conflicts}): swaps, set-offset
     shifts, pull-together and clone toggles target the hottest
     (victim, evictor) pairs rather than mutating blindly.  Two drivers
     run in sequence — greedy hill-climb, then seeded simulated annealing
-    with restarts — with candidate batches fanned over
-    {!Protolat_util.Dpool}; proposal generation and acceptance stay on
-    the calling domain, so results are bit-identical at any [jobs].
+    with restarts.  Cells are fanned over {!Protolat_util.Dpool}, each
+    searched on one domain with its own memo, RNG and scratch hierarchy,
+    so results are bit-identical at any [jobs].
 
     The named strategies (bipartite, micro, linear, link-order) are
     exactly representable as genomes and seed the search, so the best
@@ -87,8 +88,9 @@ val run :
   t
 (** Search every stack x geometry cell.  [budget] (default 600) bounds
     scorer evaluations per cell (seed scoring included); [seeds] (default
-    2) is the number of annealing restarts; [jobs] fans candidate batches
-    over that many domains — results are bit-identical at any value. *)
+    2) is the number of annealing restarts; [jobs] fans the per-stack
+    set-up, then the cells, over that many domains — results are
+    bit-identical at any value. *)
 
 val digest : t -> string
 (** Hex digest over every cell's deterministic content (genomes, scores,
@@ -111,3 +113,22 @@ val render : t -> string
 (** {!table}, rendered. *)
 
 val to_json : t -> Protolat_obs.Json.v
+
+(** {2 The scorer, exposed for differential tests} *)
+
+type sctx
+(** One stack's CLO base run, units ({!Engine.client_units} order: a
+    {!genome}'s unit indices) and clone variants. *)
+
+val make_sctx : Engine.stack_kind -> sctx
+
+val base_run : sctx -> Engine.run_result
+
+val candidate_pcs : sctx -> genome -> int array
+(** The base trace's pc column retargeted to the genome's placement.  The
+    genome may differ from the engine's clone toggles only on units with
+    cold blocks to defer, as the search's moves do. *)
+
+val scorer : sctx -> icache_kb:int -> genome -> float
+(** The search's steady time of a genome; each [scorer sctx ~icache_kb]
+    closure owns one segmentation and one scratch hierarchy. *)

@@ -102,81 +102,73 @@ let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
-(* Small growable int buffer for the line tables (final sizes are not known
-   until the per-run dedup has run). *)
-type ibuf = {
-  mutable buf : int array;
-  mutable n : int;
-}
-
-let ibuf_make () = { buf = Array.make 256 0; n = 0 }
-
-let ibuf_push b v =
-  if b.n = Array.length b.buf then begin
-    let a = Array.make (2 * b.n) 0 in
-    Array.blit b.buf 0 a 0 b.n;
-    b.buf <- a
-  end;
-  b.buf.(b.n) <- v;
-  b.n <- b.n + 1
-
-(* Push [v] unless it already appears at index >= [lo] (the current run's
-   portion of the buffer).  Runs touch a handful of lines, so the linear
-   scan is trivial. *)
-let ibuf_push_unique b lo v =
-  let rec mem i = i < b.n && (b.buf.(i) = v || mem (i + 1)) in
-  if not (mem lo) then ibuf_push b v
-
-let ibuf_contents b = Array.sub b.buf 0 b.n
-
-(* Any two entries of [sets] in [lo, hi) equal? (self-conflict test) *)
-let has_dup (b : ibuf) lo =
-  let dup = ref false in
-  for a = lo to b.n - 1 do
-    for c = a + 1 to b.n - 1 do
-      if b.buf.(a) = b.buf.(c) then dup := true
+(* Rebuild the i-side tables (lines / sets / offsets / conflict flags)
+   from a trace's pcs — shared by {!segment} and {!rebind}.  A run lists
+   its distinct lines in first-touch order: an instruction on the previous
+   instruction's line is skipped with one compare, and a new line is
+   checked against the run's lines so far (a handful), which also finds
+   two lines sharing a set.  A first pass counts line changes, a bound on
+   the distinct lines, so each table is allocated once. *)
+let bind_ilines ~trace ~block_shift ~n_sets ~run_start ~n_runs =
+  let pcs = Trace.pcs trace in
+  let bound = ref n_runs in
+  for r = 0 to n_runs - 1 do
+    for i = run_start.(r) + 1 to run_start.(r + 1) - 1 do
+      if pcs.(i) lsr block_shift <> pcs.(i - 1) lsr block_shift then incr bound
     done
   done;
-  !dup
-
-(* Rebuild the i-side tables (lines / sets / offsets / conflict flags) of
-   [t] from its trace's pcs — shared by {!segment} and {!rebind}. *)
-let bind_ilines ~trace ~block_shift ~n_sets ~run_start ~n_runs =
-  let lines_b = ibuf_make () in
-  let sets_b = ibuf_make () in
+  let lines = Array.make !bound 0 and sets = Array.make !bound 0 in
   let line_off = Array.make (n_runs + 1) 0 in
   let iconf = Bytes.make n_runs '\000' in
-  let mask = n_sets - 1 in
+  let n = ref 0 in
   for r = 0 to n_runs - 1 do
-    let lo = lines_b.n in
+    let lo = !n and prev = ref (-1) in
     for i = run_start.(r) to run_start.(r + 1) - 1 do
-      ibuf_push_unique lines_b lo (Trace.pc_at trace i lsr block_shift)
+      let line = pcs.(i) lsr block_shift in
+      if line <> !prev then begin
+        prev := line;
+        let set = line land (n_sets - 1) in
+        let j = ref lo in
+        while !j < !n && lines.(!j) <> line do
+          if sets.(!j) = set then Bytes.set iconf r '\001';
+          incr j
+        done;
+        if !j = !n then begin
+          lines.(!n) <- line;
+          sets.(!n) <- set;
+          incr n
+        end
+      end
     done;
-    for j = lo to lines_b.n - 1 do
-      ibuf_push sets_b (lines_b.buf.(j) land mask)
-    done;
-    if has_dup sets_b lo then Bytes.set iconf r '\001';
-    line_off.(r + 1) <- lines_b.n
+    line_off.(r + 1) <- !n
   done;
-  let lines = ibuf_contents lines_b in
-  let sets = ibuf_contents sets_b in
-  (lines, sets, line_off, Array.make (Array.length lines) (-1), iconf)
+  let lines, sets =
+    if !n = !bound then (lines, sets)
+    else (Array.sub lines 0 !n, Array.sub sets 0 !n)
+  in
+  (lines, sets, line_off, Array.make !n (-1), iconf)
 
 let segment (p : Params.t) trace =
   let n = Trace.length trace in
   let block_shift = log2 p.Params.block_bytes in
   let n_sets = p.Params.icache_bytes / p.Params.block_bytes in
   (* pass 1: run boundaries and reference counts *)
-  let starts = ibuf_make () in
-  ibuf_push starts 0;
-  let n_refs = ref 0 in
+  let pcs = Trace.pcs trace in
+  let ends_run i = i + 1 >= n || pcs.(i + 1) <> pcs.(i) + 4 in
+  let n_runs = ref 0 and n_refs = ref 0 in
   for i = 0 to n - 1 do
     if Trace.kind_at trace i <> Trace.kind_none then incr n_refs;
-    if i + 1 >= n || Trace.pc_at trace (i + 1) <> Trace.pc_at trace i + 4 then
-      ibuf_push starts (i + 1)
+    if ends_run i then incr n_runs
   done;
-  let run_start = ibuf_contents starts in
-  let n_runs = Array.length run_start - 1 in
+  let n_runs = !n_runs in
+  let run_start = Array.make (n_runs + 1) 0 in
+  let r = ref 0 in
+  for i = 0 to n - 1 do
+    if ends_run i then begin
+      incr r;
+      run_start.(!r) <- i + 1
+    end
+  done;
   (* pass 2: the packed reference stream *)
   let refs =
     Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max 1 !n_refs)

@@ -26,6 +26,10 @@ type t = {
          empty set.  Lets an attribution pass name the (victim, evictor)
          pair of each conflict miss without the cache knowing about
          functions. *)
+  mutable filled : int array;
+      (* sets filled from empty since the last [clear], the only ones that
+         can differ from a fresh cache; [||] until the first [clear] *)
+  mutable n_filled : int;  (* fills logged; past the length: overflowed *)
 }
 
 type outcome =
@@ -62,7 +66,9 @@ let create ~name ~size_bytes ~block_bytes =
     hits = 0;
     cold = 0;
     repl = 0;
-    last_victim = -1 }
+    last_victim = -1;
+    filled = [||];
+    n_filled = 0 }
 
 let name t = t.name
 
@@ -116,7 +122,12 @@ let access t addr =
   else begin
     let victim = t.tags.(set) in
     t.last_victim <- victim;
-    if victim >= 0 then evicted_add t victim;
+    if victim >= 0 then evicted_add t victim
+    else begin
+      let n = t.n_filled in
+      if n < Array.length t.filled then Array.unsafe_set t.filled n set;
+      t.n_filled <- n + 1
+    end;
     t.tags.(set) <- block;
     t.gens.(set) <- t.gens.(set) + 1;
     if evicted_mem t block then begin
@@ -171,14 +182,29 @@ let reset_stats t =
 (* Restore the exact state of a fresh [create]: empty sets, generation
    counters back at 0, no eviction history, zeroed counters.  Unlike
    [invalidate_all] this forgets the eviction bitset too, so a subsequent
-   first-touch miss classifies as cold again.  Reusing a cleared cache is
-   only sound when no generation snapshot taken against it survives the
-   clear — a reset generation can coincide with a stale snapshot and fake
-   residency.  The snapshots are a Blockcache segmentation's i-side
-   tables, and a fresh segment or rebind starts with none. *)
+   first-touch miss classifies as cold again.  A set leaves its initial
+   state only by a fill from empty ([invalidate_all] touches filled sets
+   alone), so resetting the logged sets suffices; an overflowed log
+   resets them all.  Reusing a cleared cache is only sound when no
+   generation snapshot taken against it survives the clear — a reset
+   generation can coincide with a stale snapshot and fake residency.
+   The snapshots are a Blockcache segmentation's i-side tables, and a
+   fresh segment or rebind starts with none. *)
 let clear t =
-  Array.fill t.tags 0 t.sets (-1);
-  Array.fill t.gens 0 t.sets 0;
+  let n = t.n_filled in
+  if n <= Array.length t.filled then
+    for i = 0 to n - 1 do
+      let set = t.filled.(i) in
+      t.tags.(set) <- -1;
+      t.gens.(set) <- 0
+    done
+  else begin
+    Array.fill t.tags 0 t.sets (-1);
+    Array.fill t.gens 0 t.sets 0
+  end;
+  if Array.length t.filled = 0 then
+    t.filled <- Array.make (max 1 (t.sets / 8)) 0;
+  t.n_filled <- 0;
   (if Array.length t.evicted = 16 then Array.fill t.evicted 0 16 None
    else t.evicted <- Array.make 16 None);
   t.accesses <- 0;

@@ -70,11 +70,15 @@ val clear : t -> unit
     back at 0, eviction history forgotten (first-touch misses classify as
     cold again), statistics zeroed.  Unlike {!invalidate_all} this is a
     true reset, not an eviction — it lets a scorer reuse one cache
-    allocation per candidate instead of paying {!create}.  Only sound when
-    no generation snapshot taken before the clear survives it: a reset
-    generation can coincide with a stale snapshot and fake residency.  The
-    only snapshots are a {!Blockcache} segmentation's i-side ones, and a
-    fresh {!Blockcache.segment} or {!Blockcache.rebind} holds none. *)
+    allocation per candidate instead of paying {!create}.  It resets only
+    the sets {!access} logged as filled from empty since the previous
+    clear, or every set when the log overflowed (more fills than an
+    eighth of the sets).  The first clear allocates the log, so caches
+    that are never cleared carry none.  Only sound when no generation
+    snapshot taken before the clear survives it: a reset generation can
+    coincide with a stale snapshot and fake residency.  The only
+    snapshots are a {!Blockcache} segmentation's i-side ones, and a fresh
+    {!Blockcache.segment} or {!Blockcache.rebind} holds none. *)
 
 val reset_stats : t -> unit
 

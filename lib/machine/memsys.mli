@@ -72,8 +72,9 @@ val clear : t -> unit
     accumulators zeroed.  A cleared hierarchy simulates any trace
     bit-identically to a new one — the point is skipping the b-cache's
     two 65536-set array allocations when scoring many candidates against
-    a reused scratch hierarchy.  Same caveat as {!Cache.clear} for the
-    i-cache's generation tags. *)
+    a reused scratch hierarchy, and a clear resets only the sets filled
+    since the previous one ({!Cache.clear}), not all 65536 b-cache sets.
+    Same caveat as {!Cache.clear} for the i-cache's generation tags. *)
 
 val reset_stats : t -> unit
 

@@ -51,7 +51,8 @@ val measure :
 
     [scratch] replaces the fresh memory system: it is cleared here
     ({!Memsys.clear}), so candidate scoring allocates no 2MB b-cache per
-    call.  It must have been created with exactly [Blockcache.params bc]
+    call, and the clear resets only the sets the previous call filled.
+    It must have been created with exactly [Blockcache.params bc]
     (checked), and [bc] must not hold generation snapshots against it from
     before this call — a fresh {!Blockcache.segment} or
     {!Blockcache.rebind} holds none.

@@ -95,6 +95,8 @@ let add t ~pc ~cls ?access ?(fid = -1) () =
 
 let pc_at t i = t.pcs.(i)
 
+let pcs t = t.pcs
+
 let cls_at t i = Instr.of_code t.clss.(i)
 
 let kind_at t i = t.kinds.(i)

@@ -61,6 +61,10 @@ val add_packed :
 
 val pc_at : t -> int -> int
 
+val pcs : t -> int array
+(** The pc column itself, read-only and valid below {!length}: for loops
+    over every event, where a {!pc_at} call each is not free. *)
+
 val cls_at : t -> int -> Instr.cls
 
 val kind_at : t -> int -> int

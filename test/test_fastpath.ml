@@ -151,6 +151,113 @@ let test_cache_credit_hits () =
   Alcotest.(check int) "last_victim cleared" (M.Cache.last_victim c')
     (M.Cache.last_victim c)
 
+(* ----- Cache.clear: sparse reset vs a fresh cache -------------------------- *)
+
+(* [Cache.clear] resets only the sets logged as filled from empty since the
+   previous clear, or every set once the log (an eighth of the sets,
+   allocated by the first clear) overflows.  Whatever ran before, a cleared
+   cache must be indistinguishable from a fresh [create]: every set's tag
+   and generation, every counter and [last_victim], and the cold /
+   replacement classification of whatever runs next. *)
+
+type cache_op =
+  | Touch of int  (* byte address *)
+  | Invalidate
+
+type clear_case = {
+  size : int;  (* bytes; 32-byte blocks, 8 to 64 sets *)
+  before : cache_op list;  (* then the first clear, which allocates the log *)
+  between : cache_op list;  (* then a clear through the log, then another *)
+  after : cache_op list;  (* run on the cleared cache and on a fresh one *)
+}
+
+let gen_clear_case =
+  let open QCheck.Gen in
+  let* size = map (fun k -> 256 lsl k) (int_bound 3) in
+  (* four cache-sized periods of blocks: hits, cold and conflict misses *)
+  let op =
+    frequency
+      [ (20, map (fun b -> Touch ((b * 32) + 4)) (int_bound ((size / 8) - 1)));
+        (1, return Invalidate) ]
+  in
+  let ops = list_size (int_bound 80) op in
+  let* before = ops and* between = ops and* after = ops in
+  return { size; before; between; after }
+
+let print_clear_case c =
+  let ops l =
+    String.concat " "
+      (List.map
+         (function Touch a -> Printf.sprintf "%x" a | Invalidate -> "inv")
+         l)
+  in
+  Printf.sprintf "size=%dB\nbefore: %s\nbetween: %s\nafter: %s" c.size
+    (ops c.before) (ops c.between) (ops c.after)
+
+let outcome_name = function
+  | M.Cache.Hit -> "hit"
+  | M.Cache.Miss_cold -> "cold"
+  | M.Cache.Miss_repl -> "repl"
+
+let run_ops c ops =
+  List.map
+    (function
+      | Touch a ->
+        let o = M.Cache.access c a in
+        Printf.sprintf "%s/%d" (outcome_name o) (M.Cache.last_victim c)
+      | Invalidate ->
+        M.Cache.invalidate_all c;
+        "inv")
+    ops
+
+(* Everything observable: per-set tag (as residency of every line the
+   cases touch) and generation, the counters and [last_victim]. *)
+let cache_state c ~size =
+  let lines = 4 * size / 32 in
+  ( List.init lines (fun l -> M.Cache.resident_line c l),
+    List.init (M.Cache.n_sets c) (M.Cache.generation c),
+    [ M.Cache.accesses c; M.Cache.hits c; M.Cache.misses c;
+      M.Cache.cold_misses c; M.Cache.repl_misses c; M.Cache.last_victim c ] )
+
+let prop_cache_clear =
+  QCheck.Test.make ~name:"cache clear equals a fresh cache" ~count:500
+    (QCheck.make ~print:print_clear_case gen_clear_case)
+    (fun c ->
+      let make () =
+        M.Cache.create ~name:"clear" ~size_bytes:c.size ~block_bytes:32
+      in
+      let fresh = cache_state (make ()) ~size:c.size in
+      let t = make () in
+      let expect_fresh what =
+        if cache_state t ~size:c.size <> fresh then
+          QCheck.Test.fail_reportf "state differs from a fresh cache %s" what
+      in
+      ignore (run_ops t c.before);
+      M.Cache.clear t;
+      expect_fresh "after the first clear";
+      ignore (run_ops t c.between);
+      M.Cache.clear t;
+      expect_fresh "after a clear through the log";
+      M.Cache.clear t;
+      expect_fresh "after clearing twice";
+      let reference = make () in
+      if run_ops t c.after <> run_ops reference c.after then
+        QCheck.Test.fail_report "cleared cache classifies accesses differently";
+      if cache_state t ~size:c.size <> cache_state reference ~size:c.size then
+        QCheck.Test.fail_report "cleared cache ends in a different state";
+      true)
+
+let test_cache_clear_never_filled () =
+  let make () = M.Cache.create ~name:"empty" ~size_bytes:1024 ~block_bytes:32 in
+  let t = make () and reference = make () in
+  M.Cache.clear t;
+  M.Cache.clear t;
+  let ops = List.init 100 (fun i -> Touch (i * 40)) in
+  Alcotest.(check (list string)) "same outcomes as a fresh cache"
+    (run_ops reference ops) (run_ops t ops);
+  Alcotest.(check bool) "same state as a fresh cache" true
+    (cache_state t ~size:1024 = cache_state reference ~size:1024)
+
 (* ----- invalidation demotes memoized runs ---------------------------------- *)
 
 (* A synthetic trace whose runs touch disjoint lines, so warm/slow counts
@@ -386,6 +493,9 @@ let suite =
     [ Alcotest.test_case "cache generation tags" `Quick
         test_cache_generation_tags;
       Alcotest.test_case "cache credit_hits" `Quick test_cache_credit_hits;
+      QCheck_alcotest.to_alcotest prop_cache_clear;
+      Alcotest.test_case "cache clear never filled" `Quick
+        test_cache_clear_never_filled;
       Alcotest.test_case "blockcache replay equivalence" `Quick
         test_blockcache_replay_equiv;
       Alcotest.test_case "blockcache disabled all slow" `Quick
