@@ -410,11 +410,13 @@ let candidate_pcs s g =
   done;
   pcs
 
-(* One warmup replay suffices: the deterministic replay reaches its
-   periodic cache fixpoint after a single pass, so the measurement equals
-   the canonical [Perf.steady] (warmup 3) bit for bit — [check] and the
-   tests re-simulate through that path and fail loudly if a future trace
-   ever breaks the fixpoint. *)
+(* One warmup replay, not the canonical [Perf.steady] (warmup 3).  It is
+   not a fixpoint guarantee: an RPC 32 KB genome scores 50.550857 us here
+   against 50.522286 us canonical.  What holds is that all 4,800
+   candidates of the default search score the same either way.  [check]
+   re-simulates only each cell's best genome through the canonical path,
+   so a divergent candidate elsewhere goes unnoticed; steady state by
+   fixpoint rather than by count is an open ROADMAP item. *)
 let scorer_warmup = 1
 
 let score_trace cc trace' =

@@ -38,12 +38,22 @@ let demux t ~src_mac:_ msg =
       t.packets_in <- t.packets_in + 1;
       m.Meter.block "ip_demux" "validate"
         ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Ip_hdr.size () ];
+      (* a runt cannot hold a header: dropped before it is read *)
+      if Msg.len msg < Ip_hdr.size then t.dropped <- t.dropped + 1
+      else
       let raw = Msg.peek msg 0 Ip_hdr.size in
       m.Meter.call "ip_demux" "validate" 0;
       let csum_ok =
         Cksum_meter.verify m ~metrics:t.env.Ns.Host_env.metrics ~sim_base:(Msg.sim_addr msg) raw 0 Ip_hdr.size
       in
-      let hdr = if csum_ok then Some (Ip_hdr.of_bytes raw) else None in
+      (* a checksum-valid header of another version/IHL is dropped too *)
+      let hdr =
+        if not csum_ok then None
+        else
+          match Ip_hdr.of_bytes raw with
+          | h -> Some h
+          | exception Invalid_argument _ -> None
+      in
       let fragmented =
         match hdr with
         | Some h -> h.Ip_hdr.frag_off <> 0 || h.Ip_hdr.flags land 1 <> 0
@@ -79,22 +89,30 @@ let demux t ~src_mac:_ msg =
             p.total_len <- off + Bytes.length data;
           if p.total_len >= 0 && p.have >= p.total_len then begin
             ignore (Xk.Map.unbind t.reass key);
-            t.reassembled <- t.reassembled + 1;
-            let whole = Bytes.create p.total_len in
-            List.iter
-              (fun (o, d) -> Bytes.blit d 0 whole o (Bytes.length d))
-              p.frags;
-            let out = Msg.alloc t.env.Ns.Host_env.simmem ~headroom:64 0 in
-            Msg.set_payload out whole;
-            match
-              Xk.Demux.lookup m ~inline:t.inline ~caller:"ip_demux" t.protos
-                (protok p.proto)
-            with
-            | None -> t.dropped <- t.dropped + 1
-            | Some f ->
-              m.Meter.block "ip_demux" "deliver";
-              m.Meter.call "ip_demux" "deliver" 0;
-              f ~hdr:{ h with Ip_hdr.frag_off = 0; Ip_hdr.flags = 0 } out
+            (* the last fragment fixed the length; a fragment reaching
+               past it makes the whole datagram a drop *)
+            if List.exists
+                 (fun (o, d) -> o + Bytes.length d > p.total_len)
+                 p.frags
+            then t.dropped <- t.dropped + 1
+            else begin
+              t.reassembled <- t.reassembled + 1;
+              let whole = Bytes.create p.total_len in
+              List.iter
+                (fun (o, d) -> Bytes.blit d 0 whole o (Bytes.length d))
+                p.frags;
+              let out = Msg.alloc t.env.Ns.Host_env.simmem ~headroom:64 0 in
+              Msg.set_payload out whole;
+              match
+                Xk.Demux.lookup m ~inline:t.inline ~caller:"ip_demux" t.protos
+                  (protok p.proto)
+              with
+              | None -> t.dropped <- t.dropped + 1
+              | Some f ->
+                m.Meter.block "ip_demux" "deliver";
+                m.Meter.call "ip_demux" "deliver" 0;
+                f ~hdr:{ h with Ip_hdr.frag_off = 0; Ip_hdr.flags = 0 } out
+            end
           end
         end
         else

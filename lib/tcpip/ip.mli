@@ -23,6 +23,12 @@ val my_ip : t -> int
 val register : t -> proto:int -> (hdr:Ip_hdr.t -> Xk.Msg.t -> unit) -> unit
 (** Register a transport protocol's demux handler. *)
 
+val demux : t -> src_mac:int -> Xk.Msg.t -> unit
+(** Input path (installed as VNET's upper handler by [create]): validate,
+    reassemble and deliver to the registered protocol.  A runt, a
+    checksum-bad or non-IPv4 header, an unregistered protocol and a
+    datagram with a fragment past its length are counted drops. *)
+
 val push : t -> dst:int -> proto:int -> Xk.Msg.t -> unit
 (** Prepend an IP header (with checksum) and route via VNET. *)
 

@@ -7,9 +7,12 @@
 # parses its export back through the one shared check in bin/cli_common.ml
 # (same value, current schema_version, expected cell count) on top of the
 # subcommand's own consistency checks.  Then a pair bit-identity check,
-# replays of the committed chaos repro files, a quick end-to-end bench
-# table, and a bench regression gate against the committed BENCH_*.json
-# history.
+# replays of the committed chaos repro files and the quick table1 bench
+# (which must refuse an unknown argument).  Last, the benchmark gate:
+# perfbench/run.py runs each of its three workloads once at --size tiny on
+# the working tree, and CI fails unless every expected.json digest
+# matches, no operation fails and allocation stays within the workload's
+# budget below.
 # Usage: scripts/ci.sh  (run from the repository root)
 set -eu
 
@@ -49,5 +52,46 @@ fi
 # to exactly its recorded at-most-once violation, the fixed one cleanly
 dune exec bin/protolat_cli.exe -- chaos --replay test/repro/chaos_dedup_bug.json
 dune exec bin/protolat_cli.exe -- chaos --replay test/repro/chaos_dedup_fixed.json
-dune exec bench/main.exe -- quick only table1
-scripts/bench_compare.sh
+dune build @bench-quick
+# an unknown argument (here the old json mode) must be refused, not
+# silently ignored while the tables run
+if dune exec bench/main.exe -- json > /dev/null 2>&1; then
+  echo "ci: bench/main.exe accepted the unknown argument 'json'" >&2
+  exit 1
+fi
+# run.py exits 0 on a digest mismatch, so its result line is checked here
+python3 - <<'GATE'
+import json, subprocess, sys
+
+# alloc_mwords measured at --size tiny, seed 1, OCaml 5.1.1, x BENCHMARK.json's 5% bound
+BUDGETS = {"paper_sweep": 8.005052 * 1.05, "layout_search": 3.800424 * 1.05,
+           "trace_replay": 9.02495 * 1.05}
+failed = False
+for w, budget in BUDGETS.items():
+    p = subprocess.run([sys.executable, "perfbench/run.py", "--workload", w,
+                        "--size", "tiny", "--seconds", "0"],
+                       stdout=subprocess.PIPE, text=True)
+    lines = p.stdout.splitlines()
+    if p.returncode != 0 or not lines:
+        print("ci: perfbench %s: run.py exited %d" % (w, p.returncode),
+              file=sys.stderr)
+        failed = True
+        continue
+    r = json.loads(lines[-1])
+    m = {k: v["value"] for k, v in r["metrics"].items()}
+    bad = []
+    if r["correct"] is not True:
+        bad.append("not correct (see the FAILED lines above)")
+    if r["failed"] != 0:
+        bad.append("%d failed operations" % r["failed"])
+    if m["ok_ratio"] != 1:
+        bad.append("ok_ratio %s" % m["ok_ratio"])
+    if m["alloc_mwords"] > budget:
+        bad.append("alloc_mwords over budget")
+    print("ci: perfbench %s: %s (alloc_mwords %.6f, budget %.6f)"
+          % (w, "FAIL: " + "; ".join(bad) if bad else "ok",
+             m["alloc_mwords"], budget),
+          file=sys.stderr if bad else sys.stdout)
+    failed = failed or bool(bad)
+sys.exit(1 if failed else 0)
+GATE

@@ -248,6 +248,50 @@ let test_bidirectional_seq_progress () =
     let extra = cb.T.Tcb.segments_out - cb.T.Tcb.segments_in in
     Alcotest.(check bool) "segment balance" true (extra >= 1 && extra <= 3)
 
+(* frames a wire can deliver that no sender here makes: each is a
+   counted drop, never an exception *)
+let test_ip_malformed_frames_dropped () =
+  let pair =
+    T.Stack.pair_of_net (T.Stack.make_net ~topology:(Ns.Topology.pair ()) ())
+  in
+  let host = pair.T.Stack.server in
+  let ip = host.T.Stack.ip in
+  let simmem = host.T.Stack.env.Ns.Host_env.simmem in
+  let dropped0 = T.Ip.packets_dropped ip in
+  let fragment ~frag_off ~flags payload =
+    let hdr =
+      { (T.Ip_hdr.make ~ident:7
+           ~total_len:(T.Ip_hdr.size + String.length payload)
+           ~proto:T.Ip_hdr.proto_tcp ~src:1 ~dst:(T.Ip.my_ip ip) ())
+        with
+        T.Ip_hdr.frag_off;
+        T.Ip_hdr.flags }
+    in
+    let msg = Xk.Msg.of_string simmem payload in
+    Xk.Msg.push msg (T.Ip_hdr.to_bytes hdr);
+    msg
+  in
+  T.Ip.demux ip ~src_mac:0 (Xk.Msg.of_string simmem (String.make 10 'x'));
+  (* MF set at byte offset 800, then the last fragment at offset 8,
+     which fixes the datagram length at 16 bytes *)
+  T.Ip.demux ip ~src_mac:0 (fragment ~frag_off:100 ~flags:1 "fragment");
+  T.Ip.demux ip ~src_mac:0 (fragment ~frag_off:1 ~flags:0 "fragment");
+  Alcotest.(check int) "runt and overlong datagram dropped" 2
+    (T.Ip.packets_dropped ip - dropped0);
+  Alcotest.(check int) "nothing reassembled" 0
+    (T.Ip.datagrams_reassembled ip);
+  (* a checksum-valid header that is not IPv4 without options *)
+  let v6 = Xk.Msg.of_string simmem "payload" in
+  let raw = Bytes.make T.Ip_hdr.size '\000' in
+  Bytes.set raw 0 '\x60';
+  let c = Checksum.compute raw 0 T.Ip_hdr.size in
+  Bytes.set raw 10 (Char.chr (c lsr 8));
+  Bytes.set raw 11 (Char.chr (c land 0xFF));
+  Xk.Msg.push v6 raw;
+  T.Ip.demux ip ~src_mac:0 v6;
+  Alcotest.(check int) "bad version dropped" 3
+    (T.Ip.packets_dropped ip - dropped0)
+
 let suite =
   ( "tcpip",
     [ Alcotest.test_case "checksum rfc" `Quick test_checksum_rfc_example;
@@ -270,4 +314,6 @@ let suite =
       Alcotest.test_case "window update variants" `Quick
         test_window_update_variants_agree;
       Alcotest.test_case "bidirectional seq" `Quick
-        test_bidirectional_seq_progress ] )
+        test_bidirectional_seq_progress;
+      Alcotest.test_case "ip malformed frames dropped" `Quick
+        test_ip_malformed_frames_dropped ] )
