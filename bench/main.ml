@@ -170,10 +170,7 @@ let bechamel_tests () =
       (Staged.stage (fun () -> ignore (T.Checksum.compute cksum_buf 0 40)))
   in
   let cache =
-    let c =
-      Protolat_machine.Cache.create ~name:"bench" ~size_bytes:8192
-        ~block_bytes:32
-    in
+    let c = Protolat_machine.Cache.create ~size_bytes:8192 ~block_bytes:32 in
     let i = ref 0 in
     Test.make ~name:"icache_simulator_access"
       (Staged.stage (fun () ->
@@ -200,8 +197,8 @@ let bechamel_tests () =
              (Strategy.micro_position ~base:0x10000 ~icache_bytes:8192
                 ~block_bytes:32 ~ref_seq:order units)))
   in
-  (* the layout scorer's per-candidate steps on the CLO TCP/IP trace: the
-     scratch reset after a cold replay (the clear costs the sets the
+  (* the layout scorer's per-candidate steps on the CLO TCP/IP trace: a
+     cold replay in a leased hierarchy (the release clears the sets the
      replay filled), and the rebind of its segmentation to the bipartite
      placement *)
   let module M = Protolat_machine in
@@ -211,12 +208,11 @@ let bechamel_tests () =
          ~config:(P.Config.make P.Config.Clo) ())
   in
   let trace = base.P.Engine.trace in
-  let scratch = M.Memsys.create M.Params.default in
-  let memsys_clear =
-    Test.make ~name:"memsys_clear_scratch"
+  let memsys_lease =
+    Test.make ~name:"memsys_lease"
       (Staged.stage (fun () ->
-           ignore (M.Memsys.run scratch trace);
-           M.Memsys.clear scratch))
+           M.Memsys.lease M.Params.default (fun m ->
+               ignore (M.Memsys.run m trace))))
   in
   let bc0 = M.Blockcache.segment M.Params.default trace in
   let bipartite =
@@ -240,7 +236,7 @@ let bechamel_tests () =
   in
   Test.make_grouped ~name:"protolat"
     [ traversal_list; traversal_full; resolve_hit; cksum; cache; image_build;
-      micro_position; memsys_clear; rebind;
+      micro_position; memsys_lease; rebind;
       roundtrips "simulate_roundtrips_std" P.Config.Std;
       roundtrips "simulate_roundtrips_all" P.Config.All ]
 
@@ -267,7 +263,14 @@ let run_bechamel () =
       match Analyze.OLS.estimates ols_result with
       | Some [ est ] -> Printf.printf "%-48s %12.1f ns/run\n" name est
       | _ -> Printf.printf "%-48s (no estimate)\n" name)
-    (List.sort compare rows)
+    (List.sort compare rows);
+  (* the hierarchy pool of this domain, which ran every kernel above *)
+  List.iter
+    (fun (c : Protolat_machine.Memsys.pool_count) ->
+      Printf.printf
+        "memsys pool %7d B cache, %d B blocks: created %d, reused %d\n"
+        c.size_bytes c.block_bytes c.created c.reused)
+    (Protolat_machine.Memsys.pool_counts ())
 
 let () =
   run_tables ();

@@ -708,11 +708,11 @@ let client_units config stack =
   let desc = match stack with Tcpip -> tcpip_desc | Rpc -> rpc_client_desc in
   units_for config desc
 
-let make_hstate ~params ~image ~sim ~simmem =
+(* [memsys] is leased by the caller for the whole run ([lease_hosts]) *)
+let make_hstate ~params ~memsys ~image ~sim ~simmem =
   (* one region: [stack (8KB, grows down) | heap-touch window] *)
   let region = Xk.Simmem.alloc simmem (8192 + 8192 + touch_window) in
   let stack_base = region + 8192 in
-  let memsys = Machine.Memsys.create params in
   { params;
     image;
     memsys;
@@ -734,6 +734,13 @@ let make_hstate ~params ~image ~sim ~simmem =
     synth = 0;
     touch = 0;
     busy_us = [| 0.0 |] }
+
+(* Both hosts' hierarchies, leased around a run's simulation.  They go
+   back before [finish]'s offline replay leases its own, so a run holds at
+   most two b-caches at once. *)
+let lease_hosts params f =
+  Machine.Memsys.lease params (fun cmem ->
+      Machine.Memsys.lease params (fun smem -> f cmem smem))
 
 let static_path_of (config : Config.t) desc =
   let funcs = desc.funcs config.Config.opts in
@@ -769,22 +776,22 @@ let drive ~sim ~(ch : hstate) ?(window_us = 5.0e6) ?(span = Obs.Span.null)
 let perturb simmem seed =
   Xk.Simmem.bump simmem (seed * 1864 mod 16384 / 8 * 8)
 
-let finish ~params ~config ~desc ~(ch : hstate) ~rtts ~retransmissions
+let finish ~params ~config ~desc ~trace ~image ~sim ~rtts ~retransmissions
     ~metrics ~events ~spans =
   (* the roundtrip latency histogram rides in the same registry as the
      device/protocol counters, so one dump covers the whole run *)
   let h = Obs.Metrics.histogram metrics ~help:"roundtrip latency" "engine.rtt_us" in
   List.iter (Obs.Metrics.observe h) rtts;
   let cold, steady =
-    Machine.Perf.measure (Machine.Blockcache.segment params ch.trace)
+    Machine.Perf.measure (Machine.Blockcache.segment params trace)
   in
   (* quiesce-time audit: the run's counters must satisfy the metrics
      conservation laws, whatever faults were injected *)
   let iv = Invariant.create () in
-  Invariant.conservation iv ~at_us:(Ns.Sim.now ch.sim) metrics;
+  Invariant.conservation iv ~at_us:(Ns.Sim.now sim) metrics;
   { rtts;
-    trace = ch.trace;
-    client_image = ch.image;
+    trace;
+    client_image = image;
     steady;
     cold;
     static_path = static_path_of config desc;
@@ -883,39 +890,44 @@ let run_tcpip ?(rx_overhead_us = 0.0) ?fault ?extra_meter ?(trace_events = false
     ~server_lance:pair.T.Stack.server.T.Stack.lance;
   perturb cenv.Ns.Host_env.simmem seed;
   perturb senv.Ns.Host_env.simmem (seed + 17);
-  let ch =
-    make_hstate ~params ~image:client_image ~sim:pair.T.Stack.sim
-      ~simmem:cenv.Ns.Host_env.simmem
+  let trace, rtts =
+    lease_hosts params (fun cmem smem ->
+      let ch =
+        make_hstate ~params ~memsys:cmem ~image:client_image
+          ~sim:pair.T.Stack.sim ~simmem:cenv.Ns.Host_env.simmem
+      in
+      let sh =
+        make_hstate ~params ~memsys:smem ~image:server_image
+          ~sim:pair.T.Stack.sim ~simmem:senv.Ns.Host_env.simmem
+      in
+      cenv.Ns.Host_env.meter <- compose_meter (make_meter ch) extra_meter;
+      senv.Ns.Host_env.meter <- compose_meter (make_meter sh) extra_meter;
+      install_phase_hook ~rx_overhead_us ch cenv;
+      install_phase_hook ~rx_overhead_us sh senv;
+      let client_test, _server_test =
+        T.Stack.establish pair ~rounds:(rounds + warmup)
+      in
+      (* faults start only after the handshake so every run reaches steady
+         state; the window widens because retransmission timeouts back off *)
+      (match fault with
+      | None -> ()
+      | Some spec ->
+        install_fault ~seed:(seed lxor 0x5EED) ~metrics:pair.T.Stack.metrics
+          spec ~fabric
+          ~client_lance:pair.T.Stack.client.T.Stack.lance
+          ~server_lance:pair.T.Stack.server.T.Stack.lance);
+      let window_us = if fault = None then None else Some 60.0e6 in
+      let rtts =
+        drive ~sim:pair.T.Stack.sim ~ch ?window_us ~span
+          ~start:(fun () -> T.Tcptest.start client_test)
+          ~on_roundtrip:(T.Tcptest.set_on_roundtrip client_test)
+          ~completed:(fun () -> T.Tcptest.rounds_completed client_test)
+          ~rounds ~warmup ()
+      in
+      (ch.trace, rtts))
   in
-  let sh =
-    make_hstate ~params ~image:server_image ~sim:pair.T.Stack.sim
-      ~simmem:senv.Ns.Host_env.simmem
-  in
-  cenv.Ns.Host_env.meter <- compose_meter (make_meter ch) extra_meter;
-  senv.Ns.Host_env.meter <- compose_meter (make_meter sh) extra_meter;
-  install_phase_hook ~rx_overhead_us ch cenv;
-  install_phase_hook ~rx_overhead_us sh senv;
-  let client_test, _server_test =
-    T.Stack.establish pair ~rounds:(rounds + warmup)
-  in
-  (* faults start only after the handshake so every run reaches steady
-     state; the window widens because retransmission timeouts back off *)
-  (match fault with
-  | None -> ()
-  | Some spec ->
-    install_fault ~seed:(seed lxor 0x5EED) ~metrics:pair.T.Stack.metrics spec
-      ~fabric
-      ~client_lance:pair.T.Stack.client.T.Stack.lance
-      ~server_lance:pair.T.Stack.server.T.Stack.lance);
-  let window_us = if fault = None then None else Some 60.0e6 in
-  let rtts =
-    drive ~sim:pair.T.Stack.sim ~ch ?window_us ~span
-      ~start:(fun () -> T.Tcptest.start client_test)
-      ~on_roundtrip:(T.Tcptest.set_on_roundtrip client_test)
-      ~completed:(fun () -> T.Tcptest.rounds_completed client_test)
-      ~rounds ~warmup ()
-  in
-  finish ~params ~config ~desc:tcpip_desc ~ch ~rtts
+  finish ~params ~config ~desc:tcpip_desc ~trace ~image:client_image
+    ~sim:pair.T.Stack.sim ~rtts
     ~retransmissions:(T.Tcp.retransmits pair.T.Stack.client.T.Stack.tcp)
     ~metrics:pair.T.Stack.metrics ~events:tracer ~spans:span
 
@@ -947,37 +959,42 @@ let run_rpc ?fault ?extra_meter ?(trace_events = false) ?(spans = false)
     ~server_lance:pair.R.Rstack.server.R.Rstack.lance;
   perturb cenv.Ns.Host_env.simmem seed;
   perturb senv.Ns.Host_env.simmem (seed + 17);
-  let ch =
-    make_hstate ~params ~image:client_image ~sim:pair.R.Rstack.sim
-      ~simmem:cenv.Ns.Host_env.simmem
+  let trace, rtts =
+    lease_hosts params (fun cmem smem ->
+      let ch =
+        make_hstate ~params ~memsys:cmem ~image:client_image
+          ~sim:pair.R.Rstack.sim ~simmem:cenv.Ns.Host_env.simmem
+      in
+      let sh =
+        make_hstate ~params ~memsys:smem ~image:server_image
+          ~sim:pair.R.Rstack.sim ~simmem:senv.Ns.Host_env.simmem
+      in
+      cenv.Ns.Host_env.meter <- compose_meter (make_meter ch) extra_meter;
+      senv.Ns.Host_env.meter <- compose_meter (make_meter sh) extra_meter;
+      install_phase_hook ch cenv;
+      install_phase_hook sh senv;
+      let client_test, _server_test =
+        R.Rstack.make_tests pair ~rounds:(rounds + warmup)
+      in
+      (match fault with
+      | None -> ()
+      | Some spec ->
+        install_fault ~seed:(seed lxor 0x5EED) ~metrics:pair.R.Rstack.metrics
+          spec ~fabric
+          ~client_lance:pair.R.Rstack.client.R.Rstack.lance
+          ~server_lance:pair.R.Rstack.server.R.Rstack.lance);
+      let window_us = if fault = None then None else Some 60.0e6 in
+      let rtts =
+        drive ~sim:pair.R.Rstack.sim ~ch ?window_us ~span
+          ~start:(fun () -> R.Xrpctest.start client_test)
+          ~on_roundtrip:(R.Xrpctest.set_on_roundtrip client_test)
+          ~completed:(fun () -> R.Xrpctest.rounds_completed client_test)
+          ~rounds ~warmup ()
+      in
+      (ch.trace, rtts))
   in
-  let sh =
-    make_hstate ~params ~image:server_image ~sim:pair.R.Rstack.sim
-      ~simmem:senv.Ns.Host_env.simmem
-  in
-  cenv.Ns.Host_env.meter <- compose_meter (make_meter ch) extra_meter;
-  senv.Ns.Host_env.meter <- compose_meter (make_meter sh) extra_meter;
-  install_phase_hook ch cenv;
-  install_phase_hook sh senv;
-  let client_test, _server_test =
-    R.Rstack.make_tests pair ~rounds:(rounds + warmup)
-  in
-  (match fault with
-  | None -> ()
-  | Some spec ->
-    install_fault ~seed:(seed lxor 0x5EED) ~metrics:pair.R.Rstack.metrics spec
-      ~fabric
-      ~client_lance:pair.R.Rstack.client.R.Rstack.lance
-      ~server_lance:pair.R.Rstack.server.R.Rstack.lance);
-  let window_us = if fault = None then None else Some 60.0e6 in
-  let rtts =
-    drive ~sim:pair.R.Rstack.sim ~ch ?window_us ~span
-      ~start:(fun () -> R.Xrpctest.start client_test)
-      ~on_roundtrip:(R.Xrpctest.set_on_roundtrip client_test)
-      ~completed:(fun () -> R.Xrpctest.rounds_completed client_test)
-      ~rounds ~warmup ()
-  in
-  finish ~params ~config ~desc:rpc_client_desc ~ch ~rtts
+  finish ~params ~config ~desc:rpc_client_desc ~trace ~image:client_image
+    ~sim:pair.R.Rstack.sim ~rtts
     ~retransmissions:
       (R.Chan.request_retransmits pair.R.Rstack.client.R.Rstack.chan)
     ~metrics:pair.R.Rstack.metrics ~events:tracer ~spans:span
@@ -1075,60 +1092,64 @@ type throughput_result = {
 
 let throughput ?(bytes = 64 * 1024) ?(params = Machine.Params.default)
     ?(topology = Ns.Topology.pair ()) ~(config : Config.t) () =
-  let layout = Config.layout_of config.Config.version in
-  let client_image = build_image config tcpip_desc ~layout in
-  let pair =
-    T.Stack.pair_of_net
-      (T.Stack.make_net ~opts_for:(fun _ -> config.Config.opts) ~topology ())
-  in
-  let cenv = pair.T.Stack.client.T.Stack.env in
-  let senv = pair.T.Stack.server.T.Stack.env in
-  let ch =
-    make_hstate ~params ~image:client_image ~sim:pair.T.Stack.sim
-      ~simmem:cenv.Ns.Host_env.simmem
-  in
-  let sh =
-    make_hstate ~params ~image:client_image ~sim:pair.T.Stack.sim
-      ~simmem:senv.Ns.Host_env.simmem
-  in
-  cenv.Ns.Host_env.meter <- make_meter ch;
-  senv.Ns.Host_env.meter <- make_meter sh;
-  install_phase_hook ch cenv;
-  install_phase_hook sh senv;
-  let received = ref 0 in
-  T.Tcp.listen pair.T.Stack.server.T.Stack.tcp ~port:5001
-    ~receive:(fun _ data -> received := !received + Bytes.length data);
-  let session =
-    T.Tcp.connect pair.T.Stack.client.T.Stack.tcp ~local_port:3000
-      ~remote_ip:pair.T.Stack.server.T.Stack.ip_addr ~remote_port:5001
-      ~receive:(fun _ _ -> ())
-  in
-  ignore (Ns.Sim.run ~until:(Ns.Sim.now pair.T.Stack.sim +. 50_000.0) pair.T.Stack.sim);
-  if T.Tcp.state session <> T.Tcb.Established then
-    failwith "Engine.throughput: handshake failed";
-  let t0 = Ns.Sim.now pair.T.Stack.sim in
-  let cpu0_c = ch.busy_us.(0) and cpu0_s = sh.busy_us.(0) in
-  Ns.Host_env.phase cenv "bulk_send" (fun () ->
-      T.Tcp.send session (Bytes.make bytes 'b'));
-  let deadline = t0 +. 10.0e6 in
-  let rec pump () =
-    if !received < bytes && Ns.Sim.now pair.T.Stack.sim < deadline then begin
-      ignore (Ns.Sim.run ~until:(Ns.Sim.now pair.T.Stack.sim +. 10_000.0) pair.T.Stack.sim);
-      pump ()
-    end
-  in
-  pump ();
-  if !received < bytes then
-    failwith
-      (Printf.sprintf "Engine.throughput: only %d of %d bytes arrived"
-         !received bytes);
-  let elapsed = Ns.Sim.now pair.T.Stack.sim -. t0 in
-  let cb = T.Tcp.tcb session in
-  { mbits_per_s = float_of_int (bytes * 8) /. elapsed;
-    elapsed_us = elapsed;
-    client_cpu_pct = 100.0 *. (ch.busy_us.(0) -. cpu0_c) /. elapsed;
-    server_cpu_pct = 100.0 *. (sh.busy_us.(0) -. cpu0_s) /. elapsed;
-    segments = cb.T.Tcb.segments_out }
+  lease_hosts params (fun cmem smem ->
+      let layout = Config.layout_of config.Config.version in
+      let client_image = build_image config tcpip_desc ~layout in
+      let pair =
+        T.Stack.pair_of_net
+          (T.Stack.make_net
+             ~opts_for:(fun _ -> config.Config.opts)
+             ~topology ())
+      in
+      let cenv = pair.T.Stack.client.T.Stack.env in
+      let senv = pair.T.Stack.server.T.Stack.env in
+      let ch =
+        make_hstate ~params ~memsys:cmem ~image:client_image
+          ~sim:pair.T.Stack.sim ~simmem:cenv.Ns.Host_env.simmem
+      in
+      let sh =
+        make_hstate ~params ~memsys:smem ~image:client_image
+          ~sim:pair.T.Stack.sim ~simmem:senv.Ns.Host_env.simmem
+      in
+      cenv.Ns.Host_env.meter <- make_meter ch;
+      senv.Ns.Host_env.meter <- make_meter sh;
+      install_phase_hook ch cenv;
+      install_phase_hook sh senv;
+      let received = ref 0 in
+      T.Tcp.listen pair.T.Stack.server.T.Stack.tcp ~port:5001
+        ~receive:(fun _ data -> received := !received + Bytes.length data);
+      let session =
+        T.Tcp.connect pair.T.Stack.client.T.Stack.tcp ~local_port:3000
+          ~remote_ip:pair.T.Stack.server.T.Stack.ip_addr ~remote_port:5001
+          ~receive:(fun _ _ -> ())
+      in
+      let sim = pair.T.Stack.sim in
+      ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. 50_000.0) sim);
+      if T.Tcp.state session <> T.Tcb.Established then
+        failwith "Engine.throughput: handshake failed";
+      let t0 = Ns.Sim.now pair.T.Stack.sim in
+      let cpu0_c = ch.busy_us.(0) and cpu0_s = sh.busy_us.(0) in
+      Ns.Host_env.phase cenv "bulk_send" (fun () ->
+          T.Tcp.send session (Bytes.make bytes 'b'));
+      let deadline = t0 +. 10.0e6 in
+      let rec pump () =
+        if !received < bytes && Ns.Sim.now sim < deadline then begin
+          ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. 10_000.0) sim);
+          pump ()
+        end
+      in
+      pump ();
+      if !received < bytes then
+        failwith
+          (Printf.sprintf "Engine.throughput: only %d of %d bytes arrived"
+             !received bytes);
+      let elapsed = Ns.Sim.now pair.T.Stack.sim -. t0 in
+      let cb = T.Tcp.tcb session in
+      { mbits_per_s = float_of_int (bytes * 8) /. elapsed;
+        elapsed_us = elapsed;
+        client_cpu_pct = 100.0 *. (ch.busy_us.(0) -. cpu0_c) /. elapsed;
+        server_cpu_pct = 100.0 *. (sh.busy_us.(0) -. cpu0_s) /. elapsed;
+        segments = cb.T.Tcb.segments_out })
 
 type sample_set = {
   rtt : Util.Stats.summary;

@@ -7,7 +7,6 @@ module Rng = Util.Rng
 module Dpool = Util.Dpool
 module Trace = Machine.Trace
 module Perf = Machine.Perf
-module Memsys = Machine.Memsys
 module Blockcache = Machine.Blockcache
 module Params = Machine.Params
 module Image = Layout.Image
@@ -344,21 +343,17 @@ let make_sctx stack =
 
 (* ----- scorer --------------------------------------------------------------- *)
 
-(* One cell's scorer: the base trace segmented at the cell's geometry and
-   a scratch hierarchy, cleared per candidate instead of created — valid
-   because every rebind starts with fresh generation snapshots.  A cell
-   runs on one domain, so the scratch is never shared. *)
+(* One cell's scorer: the base trace segmented at the cell's geometry,
+   rebound per candidate. *)
 type cctx = {
   s : sctx;
   params : Params.t;
   bc0 : Blockcache.t;
-  scratch : Memsys.t;
 }
 
 let make_cctx s kb =
   let params = { Params.default with Params.icache_bytes = kb * 1024 } in
-  { s; params; bc0 = Blockcache.segment params s.base.Engine.trace;
-    scratch = Memsys.create params }
+  { s; params; bc0 = Blockcache.segment params s.base.Engine.trace }
 
 (* Decode a genome to the candidate's pc column: place units with the
    [Strategy.at_offsets] cursor arithmetic, derive the shared cold
@@ -421,8 +416,7 @@ let scorer_warmup = 1
 
 let score_trace cc trace' =
   let bc' = Blockcache.rebind cc.bc0 trace' in
-  (snd (Perf.measure ~warmup:scorer_warmup ~scratch:cc.scratch bc'))
-    .Perf.time_us
+  (snd (Perf.measure ~warmup:scorer_warmup bc')).Perf.time_us
 
 let score_genome cc g =
   score_trace cc (Trace.remap_pcs cc.s.base.Engine.trace (candidate_pcs cc.s g))

@@ -10,9 +10,9 @@
     against two clone variants per stack (every toggleable unit's cold
     blocks in line, and all deferred: a unit's numbers depend on its own
     toggle only, so no candidate builds an image), re-bound with
-    {!Protolat_machine.Blockcache.rebind}, and replayed against the cell's
-    scratch hierarchy ({!Protolat_machine.Perf.measure} with [~scratch]) —
-    bit-identical to a full simulation of the decoded image.
+    {!Protolat_machine.Blockcache.rebind}, and replayed by
+    {!Protolat_machine.Perf.measure} — bit-identical to a full simulation
+    of the decoded image.
 
     Moves are guided by the {!Protolat_obs.Attrib} i-cache conflict
     matrix ({!Protolat_obs.Attrib.top_conflicts}): swaps, set-offset
@@ -20,8 +20,8 @@
     (victim, evictor) pairs rather than mutating blindly.  Two drivers
     run in sequence — greedy hill-climb, then seeded simulated annealing
     with restarts.  Cells are fanned over {!Protolat_util.Dpool}, each
-    searched on one domain with its own memo, RNG and scratch hierarchy,
-    so results are bit-identical at any [jobs].
+    searched on one domain with its own memo and RNG, so results are
+    bit-identical at any [jobs].
 
     The named strategies (bipartite, micro, linear, link-order) are
     exactly representable as genomes and seed the search, so the best
@@ -131,4 +131,4 @@ val candidate_pcs : sctx -> genome -> int array
 
 val scorer : sctx -> icache_kb:int -> genome -> float
 (** The search's steady time of a genome; each [scorer sctx ~icache_kb]
-    closure owns one segmentation and one scratch hierarchy. *)
+    closure owns one segmentation. *)

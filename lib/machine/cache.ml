@@ -1,5 +1,4 @@
 type t = {
-  name : string;
   block_bytes : int;
   block_shift : int; (* log2 block_bytes: addr lsr shift = block address *)
   sets : int;
@@ -50,12 +49,11 @@ let page_blocks = 1 lsl page_shift
 
 let page_mask = page_blocks - 1
 
-let create ~name ~size_bytes ~block_bytes =
+let create ~size_bytes ~block_bytes =
   if not (is_pow2 size_bytes && is_pow2 block_bytes) then
     invalid_arg "Cache.create: sizes must be powers of two";
   let sets = size_bytes / block_bytes in
-  { name;
-    block_bytes;
+  { block_bytes;
     block_shift = log2 block_bytes;
     sets;
     set_mask = sets - 1;
@@ -69,8 +67,6 @@ let create ~name ~size_bytes ~block_bytes =
     last_victim = -1;
     filled = [||];
     n_filled = 0 }
-
-let name t = t.name
 
 let block_bytes t = t.block_bytes
 
@@ -186,10 +182,10 @@ let reset_stats t =
    state only by a fill from empty ([invalidate_all] touches filled sets
    alone), so resetting the logged sets suffices; an overflowed log
    resets them all.  Reusing a cleared cache is only sound when no
-   generation snapshot taken against it survives the clear — a reset
-   generation can coincide with a stale snapshot and fake residency.
-   The snapshots are a Blockcache segmentation's i-side tables, and a
-   fresh segment or rebind starts with none. *)
+   generation snapshot taken against it is consulted after the clear —
+   a reset generation can coincide with a stale snapshot and fake
+   residency.  Memsys.lease wraps cleared caches in a new hierarchy
+   record, and Blockcache.replay drops its snapshots on a new record. *)
 let clear t =
   let n = t.n_filled in
   if n <= Array.length t.filled then

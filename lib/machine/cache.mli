@@ -11,9 +11,7 @@ type outcome =
   | Miss_cold
   | Miss_repl
 
-val create : name:string -> size_bytes:int -> block_bytes:int -> t
-
-val name : t -> string
+val create : size_bytes:int -> block_bytes:int -> t
 
 val block_bytes : t -> int
 
@@ -69,16 +67,16 @@ val clear : t -> unit
 (** Restore the exact state of a fresh {!create}: empty sets, generations
     back at 0, eviction history forgotten (first-touch misses classify as
     cold again), statistics zeroed.  Unlike {!invalidate_all} this is a
-    true reset, not an eviction — it lets a scorer reuse one cache
-    allocation per candidate instead of paying {!create}.  It resets only
-    the sets {!access} logged as filled from empty since the previous
-    clear, or every set when the log overflowed (more fills than an
-    eighth of the sets).  The first clear allocates the log, so caches
+    true reset, not an eviction — it lets {!Memsys.lease} hand one cache
+    allocation to many simulations instead of paying {!create}.  It
+    resets only the sets {!access} logged as filled from empty since the
+    previous clear, or every set when the log overflowed (more fills than
+    an eighth of the sets).  The first clear allocates the log, so caches
     that are never cleared carry none.  Only sound when no generation
-    snapshot taken before the clear survives it: a reset generation can
-    coincide with a stale snapshot and fake residency.  The only
-    snapshots are a {!Blockcache} segmentation's i-side ones, and a fresh
-    {!Blockcache.segment} or {!Blockcache.rebind} holds none. *)
+    snapshot taken before the clear is consulted after it: a reset
+    generation can coincide with a stale snapshot and fake residency.  A
+    lease wraps its caches in a new {!Memsys.t}, on which
+    {!Blockcache.replay} drops the snapshots it took against any other. *)
 
 val reset_stats : t -> unit
 

@@ -31,17 +31,11 @@ type stats = {
   stall_cycles : float;
 }
 
-let create p =
+let make p ~ic ~dc ~bc =
   { p;
-    ic =
-      Cache.create ~name:"i-cache" ~size_bytes:p.Params.icache_bytes
-        ~block_bytes:p.Params.block_bytes;
-    dc =
-      Cache.create ~name:"d-cache" ~size_bytes:p.Params.dcache_bytes
-        ~block_bytes:p.Params.block_bytes;
-    bc =
-      Cache.create ~name:"b-cache" ~size_bytes:p.Params.bcache_bytes
-        ~block_bytes:p.Params.block_bytes;
+    ic;
+    dc;
+    bc;
     wb = Write_buffer.create ~depth:p.Params.wb_depth ~block_bytes:p.Params.block_bytes;
     last_imiss_block = min_int;
     b_acc = 0;
@@ -51,6 +45,117 @@ let create p =
     dwb_acc = 0;
     stalls = [| 0.0 |];
     lat = [| 0.0 |] }
+
+let create p =
+  let cache size_bytes =
+    Cache.create ~size_bytes ~block_bytes:p.Params.block_bytes
+  in
+  make p ~ic:(cache p.Params.icache_bytes) ~dc:(cache p.Params.dcache_bytes)
+    ~bc:(cache p.Params.bcache_bytes)
+
+(* ----- the lease pool ---------------------------------------------------- *)
+
+(* One free list of cleared caches per geometry, per domain.  [create]'s
+   cost is the b-cache's two 65536-set arrays; a cleared cache is
+   indistinguishable from a fresh one ([Cache.clear]) and its clear costs
+   only the sets its last user filled. *)
+type slot = {
+  size : int;
+  block : int;
+  cap : int;  (* most caches the free list keeps *)
+  mutable free : Cache.t list;
+  mutable n_free : int;
+  mutable created : int;
+  mutable reused : int;
+}
+
+(* A free list keeps up to four caches: an engine run holds two
+   hierarchies at once, four caches of one geometry when the i- and
+   d-cache match.  Past [max_free_sets] sets it keeps one: the major GC
+   sizes the heap from the live set, so an idle b-cache kept after a
+   deeper nest (1 MB of arrays) would cost about twice that in peak RSS
+   for the rest of the process. *)
+let max_free = 4
+
+let max_free_sets = 16384
+
+let pool : (int * int, slot) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+
+let slot_of tbl ~size ~block =
+  match Hashtbl.find tbl (size, block) with
+  | s -> s
+  | exception Not_found ->
+    let s =
+      { size;
+        block;
+        cap = max 1 (min max_free (max_free_sets / (size / block)));
+        free = [];
+        n_free = 0;
+        created = 0;
+        reused = 0 }
+    in
+    Hashtbl.add tbl (size, block) s;
+    s
+
+let take s =
+  match s.free with
+  | c :: rest ->
+    s.free <- rest;
+    s.n_free <- s.n_free - 1;
+    s.reused <- s.reused + 1;
+    c
+  | [] ->
+    s.created <- s.created + 1;
+    Cache.create ~size_bytes:s.size ~block_bytes:s.block
+
+let give s c =
+  Cache.clear c;
+  if s.n_free < s.cap then begin
+    s.free <- c :: s.free;
+    s.n_free <- s.n_free + 1
+  end
+
+(* A new record per lease, even around reused caches: [Blockcache.replay]
+   keeps the last hierarchy it replayed into alive and drops its
+   generation snapshots whenever the target is not physically that one,
+   so no snapshot taken under an earlier lease can be consulted against
+   this one. *)
+let lease p f =
+  let tbl = Domain.DLS.get pool in
+  let slot size = slot_of tbl ~size ~block:p.Params.block_bytes in
+  let si = slot p.Params.icache_bytes
+  and sd = slot p.Params.dcache_bytes
+  and sb = slot p.Params.bcache_bytes in
+  let ic = take si in
+  let dc = take sd in
+  let bc = take sb in
+  Fun.protect
+    ~finally:(fun () ->
+      (* in reverse, so the next lease of [p] takes each cache back in its
+         old role *)
+      give sb bc;
+      give sd dc;
+      give si ic)
+    (fun () -> f (make p ~ic ~dc ~bc))
+
+type pool_count = {
+  size_bytes : int;
+  block_bytes : int;
+  created : int;
+  reused : int;
+}
+
+let pool_counts () =
+  Hashtbl.fold
+    (fun _ s acc ->
+      { size_bytes = s.size;
+        block_bytes = s.block;
+        created = s.created;
+        reused = s.reused }
+      :: acc)
+    (Domain.DLS.get pool) []
+  |> List.sort compare
 
 let params t = t.p
 
@@ -198,24 +303,6 @@ let invalidate_primary t =
 let invalidate_all t =
   invalidate_primary t;
   Cache.invalidate_all t.bc
-
-(* Restore the exact state of a fresh [create p]: every component cleared
-   back to its construction state, so a cleared hierarchy simulates any
-   trace bit-identically to a newly created one.  The payoff is avoiding
-   the two 65536-set b-cache array allocations that dominate [create] when
-   a scorer runs one short simulation per candidate. *)
-let clear t =
-  Cache.clear t.ic;
-  Cache.clear t.dc;
-  Cache.clear t.bc;
-  Write_buffer.clear t.wb;
-  t.last_imiss_block <- min_int;
-  t.b_acc <- 0;
-  t.b_miss <- 0;
-  t.b_repl <- 0;
-  t.dwb_miss <- 0;
-  t.dwb_acc <- 0;
-  t.stalls.(0) <- 0.0
 
 let reset_stats t =
   Cache.reset_stats t.ic;

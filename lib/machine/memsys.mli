@@ -11,6 +11,37 @@
 type t
 
 val create : Params.t -> t
+(** A hierarchy of its own, with newly allocated caches.  Simulations
+    that run to completion inside one call take theirs from {!lease}
+    instead. *)
+
+val lease : Params.t -> (t -> 'a) -> 'a
+(** [lease p f] runs [f] on a hierarchy that simulates every trace
+    bit-identically to [create p], built around caches taken from this
+    domain's pool: a cache is allocated only when the pool holds none of
+    its geometry (size and block bytes).  When [f] returns or raises, the
+    caches are cleared ({!Cache.clear}, which resets only the sets filled
+    since they were taken) and go back to the pool.
+
+    The hierarchy must not escape [f]: after the bracket its caches
+    belong to the next lease.  Each lease gets a new [t], so nested
+    leases on one domain hold physically distinct caches, and a
+    {!Blockcache} segmentation replayed under two leases never carries
+    generation snapshots from the first into the second.  A free list
+    keeps at most four caches of a primary's size and one b-cache; the
+    pool never shrinks otherwise. *)
+
+type pool_count = {
+  size_bytes : int;
+  block_bytes : int;
+  created : int;  (** caches of this geometry a lease had to allocate *)
+  reused : int;  (** caches of this geometry a lease took from the pool *)
+}
+
+val pool_counts : unit -> pool_count list
+(** The calling domain's pool counters, one entry per geometry a lease
+    has asked for, in increasing (size, block) order.  Each lease takes
+    three caches: i-, d- and b-cache. *)
 
 val params : t -> Params.t
 
@@ -64,17 +95,6 @@ val invalidate_primary : t -> unit
 (** Empty i-cache, d-cache and write buffer (keep the b-cache warm). *)
 
 val invalidate_all : t -> unit
-
-val clear : t -> unit
-(** Restore the exact state of a fresh [create (params t)] without
-    reallocating: caches emptied with eviction history and generations
-    reset ({!Cache.clear}), write buffer reset, all counters and stall
-    accumulators zeroed.  A cleared hierarchy simulates any trace
-    bit-identically to a new one — the point is skipping the b-cache's
-    two 65536-set array allocations when scoring many candidates against
-    a reused scratch hierarchy, and a clear resets only the sets filled
-    since the previous one ({!Cache.clear}), not all 65536 b-cache sets.
-    Same caveat as {!Cache.clear} for the i-cache's generation tags. *)
 
 val reset_stats : t -> unit
 

@@ -29,12 +29,15 @@ let derive p ~length ~issue_cycles ~instr_cycles (stats : Memsys.stats) =
 let cold p trace =
   (* A single replay from empty caches gains nothing from the warm-block
      memo (no run is warm yet), so the plain loop is used. *)
-  let m = Memsys.create p in
-  ignore (Memsys.run m trace);
+  let stats =
+    Memsys.lease p (fun m ->
+        ignore (Memsys.run m trace);
+        Memsys.stats m)
+  in
   derive p ~length:(Trace.length trace)
     ~issue_cycles:(Cpu.issue_cycles p trace)
     ~instr_cycles:(Cpu.perfect_memory_cycles p trace)
-    (Memsys.stats m)
+    stats
 
 let report_of bc m =
   derive (Blockcache.params bc)
@@ -43,34 +46,25 @@ let report_of bc m =
     ~instr_cycles:(Blockcache.instr_cycles bc)
     (Memsys.stats m)
 
-let measure ?(warmup = 3) ?scratch bc =
-  let p = Blockcache.params bc in
-  let m =
-    match scratch with
-    | None -> Memsys.create p
-    | Some m ->
-      if Memsys.params m <> p then
-        invalid_arg "Perf.measure: scratch memory system params mismatch";
-      Memsys.clear m;
-      m
-  in
-  (* fast-path counters describe the measured replay alone, never warmup
-     or earlier runs against this segmentation *)
-  Blockcache.reset_counters bc;
-  (* The first replay from empty caches IS the cold measurement, and
-     doubles as the first warmup iteration of the steady one. *)
-  Blockcache.replay bc m;
-  let cold = report_of bc m in
-  if warmup <= 0 then (cold, cold)
-  else begin
-    for _ = 2 to warmup do
-      Blockcache.replay bc m
-    done;
-    Memsys.reset_stats m;
-    Blockcache.reset_counters bc;
-    Blockcache.replay bc m;
-    (cold, report_of bc m)
-  end
+let measure ?(warmup = 3) bc =
+  Memsys.lease (Blockcache.params bc) (fun m ->
+      (* fast-path counters describe the measured replay alone, never
+         warmup or earlier runs against this segmentation *)
+      Blockcache.reset_counters bc;
+      (* The first replay from empty caches IS the cold measurement, and
+         doubles as the first warmup iteration of the steady one. *)
+      Blockcache.replay bc m;
+      let cold = report_of bc m in
+      if warmup <= 0 then (cold, cold)
+      else begin
+        for _ = 2 to warmup do
+          Blockcache.replay bc m
+        done;
+        Memsys.reset_stats m;
+        Blockcache.reset_counters bc;
+        Blockcache.replay bc m;
+        (cold, report_of bc m)
+      end)
 
 let steady ?warmup p trace = snd (measure ?warmup (Blockcache.segment p trace))
 

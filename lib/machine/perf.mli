@@ -35,8 +35,7 @@ val steady : ?warmup:int -> Params.t -> Trace.t -> report
 (** The steady report, [snd (measure ?warmup (Blockcache.segment p trace))].
     Default [warmup] is 3. *)
 
-val measure :
-  ?warmup:int -> ?scratch:Memsys.t -> Blockcache.t -> report * report
+val measure : ?warmup:int -> Blockcache.t -> report * report
 (** [(cold, steady)] of the segmentation's trace under its params
     ({!Blockcache.params}), from one memory system: the first replay from
     empty caches is the cold report and doubles as the first of [warmup]
@@ -49,14 +48,8 @@ val measure :
     ({!Blockcache.reset_counters}) immediately before the measured replay,
     so they describe that replay alone.
 
-    [scratch] replaces the fresh memory system: it is cleared here
-    ({!Memsys.clear}), so candidate scoring allocates no 2MB b-cache per
-    call, and the clear resets only the sets the previous call filled.
-    It must have been created with exactly [Blockcache.params bc]
-    (checked), and [bc] must not hold generation snapshots against it from
-    before this call — a fresh {!Blockcache.segment} or
-    {!Blockcache.rebind} holds none.
-
-    @raise Invalid_argument if [scratch]'s params differ. *)
+    Every entry point here replays into a hierarchy from
+    {!Memsys.lease}, so calls at one geometry on one domain allocate no
+    cache after the first. *)
 
 val pp_report : Format.formatter -> report -> unit

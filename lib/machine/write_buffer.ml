@@ -84,11 +84,3 @@ let reset_stats t =
   t.merges <- 0;
   t.writes <- 0;
   t.retires <- 0
-
-(* Restore the exact state of a fresh [create]. *)
-let clear t =
-  t.head <- 0;
-  t.count <- 0;
-  t.merges <- 0;
-  t.writes <- 0;
-  t.retires <- 0

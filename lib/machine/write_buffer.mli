@@ -26,7 +26,3 @@ val writes : t -> int
 val retires : t -> int
 
 val reset_stats : t -> unit
-
-val clear : t -> unit
-(** Restore the exact state of a fresh {!create}: empty buffer, zeroed
-    statistics. *)

@@ -119,76 +119,76 @@ let profile ?(mode = `Steady) ?(warmup = 3) p image trace =
     | None -> "(unknown)"
   in
   let conflicts : (string * string, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let m = Memsys.create p in
-  (match mode with
-  | `Cold -> ()
-  | `Steady ->
-    (* mirror Perf.steady exactly: untimed warmup replays, then reset *)
-    for _ = 1 to warmup do
-      ignore (Memsys.run m trace)
-    done;
-    Memsys.reset_stats m);
-  let ic = Memsys.icache m in
   let cold_total = ref 0 in
-  (* Replicate Cpu.issue_cycles's pairing walk: one issue cycle per group
-     (charged to the group's first instruction), every instruction then
-     pays its own pipeline penalty and memory stalls.  The column sums are
-     therefore bit-identical to the aggregate Perf report. *)
-  let i = ref 0 in
-  let attempts = ref 0 in
-  while !i < n do
-    let a = Trace.cls_at trace !i in
-    let structurally = !i + 1 < n && Cpu.can_pair a (Trace.cls_at trace (!i + 1)) in
-    let paired =
-      structurally
-      && begin
-           incr attempts;
-           !attempts * p.Params.pair_success_pct mod 100
-           < p.Params.pair_success_pct
-         end
-    in
-    (accs.(idx_of (Trace.fid_at trace !i))).a_issue <-
-      (accs.(idx_of (Trace.fid_at trace !i))).a_issue +. 1.0;
-    let last = if paired then !i + 1 else !i in
-    for k = !i to last do
-      let acc = accs.(idx_of (Trace.fid_at trace k)) in
-      let cls = Trace.cls_at trace k in
-      let pc = Trace.pc_at trace k in
-      acc.a_instrs <- acc.a_instrs + 1;
-      acc.a_penalty <- acc.a_penalty +. Cpu.penalty p cls;
-      let im0 = Cache.misses ic in
-      let cold0 = Cache.cold_misses ic in
-      let dm0 = Memsys.dwb_misses m in
-      let stall =
-        Memsys.access m ~pc ~kind:(Trace.kind_at trace k)
-          ~addr:(Trace.addr_at trace k)
+  Memsys.lease p (fun m ->
+    (match mode with
+    | `Cold -> ()
+    | `Steady ->
+      (* mirror Perf.steady exactly: untimed warmup replays, then reset *)
+      for _ = 1 to warmup do
+        ignore (Memsys.run m trace)
+      done;
+      Memsys.reset_stats m);
+    let ic = Memsys.icache m in
+    (* Replicate Cpu.issue_cycles's pairing walk: one issue cycle per group
+       (charged to the group's first instruction), every instruction then
+       pays its own pipeline penalty and memory stalls.  The column sums are
+       therefore bit-identical to the aggregate Perf report. *)
+    let i = ref 0 in
+    let attempts = ref 0 in
+    while !i < n do
+      let a = Trace.cls_at trace !i in
+      let structurally = !i + 1 < n && Cpu.can_pair a (Trace.cls_at trace (!i + 1)) in
+      let paired =
+        structurally
+        && begin
+             incr attempts;
+             !attempts * p.Params.pair_success_pct mod 100
+             < p.Params.pair_success_pct
+           end
       in
-      acc.a_stall <- acc.a_stall +. stall;
-      acc.a_dwb <- acc.a_dwb + (Memsys.dwb_misses m - dm0);
-      if Cache.misses ic > im0 then begin
-        acc.a_imiss <- acc.a_imiss + 1;
-        if Cache.cold_misses ic > cold0 then begin
-          acc.a_cold <- acc.a_cold + 1;
-          incr cold_total
+      (accs.(idx_of (Trace.fid_at trace !i))).a_issue <-
+        (accs.(idx_of (Trace.fid_at trace !i))).a_issue +. 1.0;
+      let last = if paired then !i + 1 else !i in
+      for k = !i to last do
+        let acc = accs.(idx_of (Trace.fid_at trace k)) in
+        let cls = Trace.cls_at trace k in
+        let pc = Trace.pc_at trace k in
+        acc.a_instrs <- acc.a_instrs + 1;
+        acc.a_penalty <- acc.a_penalty +. Cpu.penalty p cls;
+        let im0 = Cache.misses ic in
+        let cold0 = Cache.cold_misses ic in
+        let dm0 = Memsys.dwb_misses m in
+        let stall =
+          Memsys.access m ~pc ~kind:(Trace.kind_at trace k)
+            ~addr:(Trace.addr_at trace k)
+        in
+        acc.a_stall <- acc.a_stall +. stall;
+        acc.a_dwb <- acc.a_dwb + (Memsys.dwb_misses m - dm0);
+        if Cache.misses ic > im0 then begin
+          acc.a_imiss <- acc.a_imiss + 1;
+          if Cache.cold_misses ic > cold0 then begin
+            acc.a_cold <- acc.a_cold + 1;
+            incr cold_total
+          end
+          else begin
+            acc.a_repl <- acc.a_repl + 1;
+            let victim = Cache.last_victim ic in
+            let vname = if victim < 0 then "(none)" else owner_of victim in
+            let ename =
+              let fid = Trace.fid_at trace k in
+              if fid >= 0 then Trace.func_name trace fid
+              else owner_of (pc / p.Params.block_bytes)
+            in
+            let key = (vname, ename) in
+            match Hashtbl.find_opt conflicts key with
+            | Some r -> incr r
+            | None -> Hashtbl.add conflicts key (ref 1)
+          end
         end
-        else begin
-          acc.a_repl <- acc.a_repl + 1;
-          let victim = Cache.last_victim ic in
-          let vname = if victim < 0 then "(none)" else owner_of victim in
-          let ename =
-            let fid = Trace.fid_at trace k in
-            if fid >= 0 then Trace.func_name trace fid
-            else owner_of (pc / p.Params.block_bytes)
-          in
-          let key = (vname, ename) in
-          match Hashtbl.find_opt conflicts key with
-          | Some r -> incr r
-          | None -> Hashtbl.add conflicts key (ref 1)
-        end
-      end
-    done;
-    i := last + 1
-  done;
+      done;
+      i := last + 1
+    done);
   let row_of name (a : acc) =
     { func = name;
       instrs = a.a_instrs;

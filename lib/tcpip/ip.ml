@@ -46,11 +46,17 @@ let demux t ~src_mac:_ msg =
       let csum_ok =
         Cksum_meter.verify m ~metrics:t.env.Ns.Host_env.metrics ~sim_base:(Msg.sim_addr msg) raw 0 Ip_hdr.size
       in
-      (* a checksum-valid header of another version/IHL is dropped too *)
+      (* a checksum-valid header of another version/IHL is dropped too, and
+         so is one whose total length is short of a header or claims more
+         bytes than were delivered *)
       let hdr =
         if not csum_ok then None
         else
           match Ip_hdr.of_bytes raw with
+          | h
+            when h.Ip_hdr.total_len < Ip_hdr.size
+                 || h.Ip_hdr.total_len > Msg.len msg ->
+            None
           | h -> Some h
           | exception Invalid_argument _ -> None
       in
@@ -64,6 +70,10 @@ let demux t ~src_mac:_ msg =
       match hdr with
       | None -> t.dropped <- t.dropped + 1
       | Some h -> (
+        (* bytes past the header's length (link-layer padding) are not
+           part of the datagram *)
+        if Msg.len msg > h.Ip_hdr.total_len then
+          Msg.truncate msg h.Ip_hdr.total_len;
         if fragmented then begin
           (* reassembly (the outlined path, but fully functional) *)
           ignore (Msg.pop msg Ip_hdr.size);

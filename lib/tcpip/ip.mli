@@ -26,8 +26,10 @@ val register : t -> proto:int -> (hdr:Ip_hdr.t -> Xk.Msg.t -> unit) -> unit
 val demux : t -> src_mac:int -> Xk.Msg.t -> unit
 (** Input path (installed as VNET's upper handler by [create]): validate,
     reassemble and deliver to the registered protocol.  A runt, a
-    checksum-bad or non-IPv4 header, an unregistered protocol and a
-    datagram with a fragment past its length are counted drops. *)
+    checksum-bad or non-IPv4 header, a header length past the bytes
+    delivered, an unregistered protocol and a datagram with a fragment
+    past its length are counted drops; bytes past the header length are
+    trimmed. *)
 
 val push : t -> dst:int -> proto:int -> Xk.Msg.t -> unit
 (** Prepend an IP header (with checksum) and route via VNET. *)

@@ -11,6 +11,7 @@ type t = {
   pcbs : session Xk.Map.t;
   listeners : (int, session -> bytes -> unit) Hashtbl.t;
   mutable iss : int;
+  mutable dropped : int;  (* segments too short for a TCP header *)
   c_retransmits : Obs.Metrics.counter;
   c_fast_retransmits : Obs.Metrics.counter;
   c_persist_probes : Obs.Metrics.counter;
@@ -46,6 +47,7 @@ let create env ip ~opts =
       pcbs = Xk.Map.create ~buckets:64 ();
       listeners = Hashtbl.create 8;
       iss = 0x1000;
+      dropped = 0;
       c_retransmits =
         Obs.Metrics.counter env.Ns.Host_env.metrics
           ~help:"segments resent (timeout + fast)" "tcp.retransmits";
@@ -688,6 +690,10 @@ let session_key ~local_port ~remote_ip ~remote_port =
 
 let demux t ~(hdr : Ip_hdr.t) msg =
   let m = meter t in
+  (* a runt cannot hold a header: dropped before the metered parse, so the
+     trace of every well-formed segment is unchanged *)
+  if Msg.len msg < Tcp_hdr.size then t.dropped <- t.dropped + 1
+  else
   Meter.fn m "tcp_demux" (fun () ->
       m.Meter.block "tcp_demux" "parse"
         ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Tcp_hdr.size () ];
@@ -930,6 +936,8 @@ let set_nodelay s v = s.nodelay <- v
 let retransmits t = Obs.Metrics.value t.c_retransmits
 
 let persist_probes t = Obs.Metrics.value t.c_persist_probes
+
+let segments_dropped t = t.dropped
 
 (* wire TCP into IP at creation *)
 let create env ip ~opts =

@@ -85,3 +85,7 @@ val retransmits : t -> int
 
 val persist_probes : t -> int
 (** Zero-window probes sent (the persist timer, RFC 1122). *)
+
+val segments_dropped : t -> int
+(** Segments dropped on input because the IP payload was shorter than a
+    TCP header. *)

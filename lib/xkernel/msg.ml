@@ -43,6 +43,10 @@ let peek t off n =
   if off + n > t.length then invalid_arg "Msg.peek: out of range";
   Bytes.sub t.data (t.head + off) n
 
+let truncate t n =
+  if n < 0 || n > t.length then invalid_arg "Msg.truncate: out of range";
+  t.length <- n
+
 let blit_into t buf off = Bytes.blit t.data t.head buf off t.length
 
 let contents t = Bytes.sub t.data t.head t.length

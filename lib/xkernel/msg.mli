@@ -32,6 +32,11 @@ val pop : t -> int -> bytes
 val peek : t -> int -> int -> bytes
 (** [peek t off n] reads without consuming. *)
 
+val truncate : t -> int -> unit
+(** [truncate t n] keeps the first [n] bytes.
+    @raise Invalid_argument if [n] is negative or the message is shorter
+    than [n]. *)
+
 val blit_into : t -> bytes -> int -> unit
 (** Copy the whole message into a buffer at an offset. *)
 

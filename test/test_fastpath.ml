@@ -109,7 +109,7 @@ let test_blockcache_disabled_all_slow () =
 (* ----- generation tags ----------------------------------------------------- *)
 
 let test_cache_generation_tags () =
-  let c = M.Cache.create ~name:"gen" ~size_bytes:1024 ~block_bytes:32 in
+  let c = M.Cache.create ~size_bytes:1024 ~block_bytes:32 in
   let line = M.Cache.line_of c 0x4000 in
   let set = M.Cache.set_of_line c line in
   let g0 = M.Cache.generation c set in
@@ -136,10 +136,10 @@ let test_cache_generation_tags () =
     (M.Cache.resident_line c line)
 
 let test_cache_credit_hits () =
-  let c = M.Cache.create ~name:"credit" ~size_bytes:1024 ~block_bytes:32 in
+  let c = M.Cache.create ~size_bytes:1024 ~block_bytes:32 in
   ignore (M.Cache.access c 0x100);
   (* reference: three hitting accesses *)
-  let c' = M.Cache.create ~name:"credit-ref" ~size_bytes:1024 ~block_bytes:32 in
+  let c' = M.Cache.create ~size_bytes:1024 ~block_bytes:32 in
   ignore (M.Cache.access c' 0x100);
   ignore (M.Cache.access c' 0x104);
   ignore (M.Cache.access c' 0x108);
@@ -223,9 +223,7 @@ let prop_cache_clear =
   QCheck.Test.make ~name:"cache clear equals a fresh cache" ~count:500
     (QCheck.make ~print:print_clear_case gen_clear_case)
     (fun c ->
-      let make () =
-        M.Cache.create ~name:"clear" ~size_bytes:c.size ~block_bytes:32
-      in
+      let make () = M.Cache.create ~size_bytes:c.size ~block_bytes:32 in
       let fresh = cache_state (make ()) ~size:c.size in
       let t = make () in
       let expect_fresh what =
@@ -248,7 +246,7 @@ let prop_cache_clear =
       true)
 
 let test_cache_clear_never_filled () =
-  let make () = M.Cache.create ~name:"empty" ~size_bytes:1024 ~block_bytes:32 in
+  let make () = M.Cache.create ~size_bytes:1024 ~block_bytes:32 in
   let t = make () and reference = make () in
   M.Cache.clear t;
   M.Cache.clear t;

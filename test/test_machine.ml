@@ -42,7 +42,7 @@ let test_expand_control_last () =
 
 (* ----- direct-mapped cache ------------------------------------------------ *)
 
-let mk_cache () = Cache.create ~name:"t" ~size_bytes:1024 ~block_bytes:32
+let mk_cache () = Cache.create ~size_bytes:1024 ~block_bytes:32
 
 let test_cache_hit_miss () =
   let c = mk_cache () in
@@ -74,7 +74,7 @@ let test_cache_invalidate () =
 let test_cache_bad_geometry () =
   Alcotest.check_raises "non-pow2"
     (Invalid_argument "Cache.create: sizes must be powers of two") (fun () ->
-      ignore (Cache.create ~name:"x" ~size_bytes:1000 ~block_bytes:32))
+      ignore (Cache.create ~size_bytes:1000 ~block_bytes:32))
 
 let prop_cache_deterministic =
   QCheck.Test.make ~name:"cache accounting invariant" ~count:100

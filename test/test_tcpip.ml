@@ -292,6 +292,60 @@ let test_ip_malformed_frames_dropped () =
   Alcotest.(check int) "bad version dropped" 3
     (T.Ip.packets_dropped ip - dropped0)
 
+(* An unfragmented datagram with [payload] behind a checksum-valid header
+   that claims [total_len] bytes (default: exactly the header and
+   payload). *)
+let datagram ip simmem ?total_len ~proto payload =
+  let total_len =
+    Option.value total_len ~default:(T.Ip_hdr.size + String.length payload)
+  in
+  let hdr =
+    T.Ip_hdr.make ~ident:9 ~total_len ~proto ~src:1 ~dst:(T.Ip.my_ip ip) ()
+  in
+  let msg = Xk.Msg.of_string simmem payload in
+  Xk.Msg.push msg (T.Ip_hdr.to_bytes hdr);
+  msg
+
+let server_host () =
+  (T.Stack.pair_of_net (T.Stack.make_net ~topology:(Ns.Topology.pair ()) ()))
+    .T.Stack.server
+
+(* An IP payload shorter than a TCP header is a counted TCP drop, not an
+   exception out of the demux. *)
+let test_tcp_runt_dropped () =
+  let host = server_host () in
+  let ip = host.T.Stack.ip in
+  let simmem = host.T.Stack.env.Ns.Host_env.simmem in
+  let dropped0 = T.Tcp.segments_dropped host.T.Stack.tcp in
+  T.Ip.demux ip ~src_mac:0
+    (datagram ip simmem ~proto:T.Ip_hdr.proto_tcp "8 bytes!");
+  Alcotest.(check int) "8-byte segment dropped by tcp" 1
+    (T.Tcp.segments_dropped host.T.Stack.tcp - dropped0);
+  Alcotest.(check int) "ip delivered it" 0 (T.Ip.packets_dropped ip)
+
+(* The header's total length against the bytes delivered: a datagram
+   claiming more is a counted drop; bytes past it, such as Ethernet
+   minimum-frame padding, are trimmed before delivery. *)
+let test_ip_total_len () =
+  let host = server_host () in
+  let ip = host.T.Stack.ip in
+  let simmem = host.T.Stack.env.Ns.Host_env.simmem in
+  let proto = 0x99 in
+  let got = ref [] in
+  T.Ip.register ip ~proto (fun ~hdr:_ msg ->
+      got := Bytes.to_string (Xk.Msg.contents msg) :: !got);
+  T.Ip.demux ip ~src_mac:0
+    (datagram ip simmem ~total_len:(T.Ip_hdr.size + 40) ~proto "only ten!!");
+  Alcotest.(check int) "total_len past the bytes delivered: dropped" 1
+    (T.Ip.packets_dropped ip);
+  Alcotest.(check (list string)) "nothing delivered" [] !got;
+  T.Ip.demux ip ~src_mac:0
+    (datagram ip simmem ~total_len:(T.Ip_hdr.size + 5) ~proto
+       ("hello" ^ String.make 21 '\000'));
+  Alcotest.(check int) "padded datagram not dropped" 1
+    (T.Ip.packets_dropped ip);
+  Alcotest.(check (list string)) "padding trimmed" [ "hello" ] !got
+
 let suite =
   ( "tcpip",
     [ Alcotest.test_case "checksum rfc" `Quick test_checksum_rfc_example;
@@ -316,4 +370,7 @@ let suite =
       Alcotest.test_case "bidirectional seq" `Quick
         test_bidirectional_seq_progress;
       Alcotest.test_case "ip malformed frames dropped" `Quick
-        test_ip_malformed_frames_dropped ] )
+        test_ip_malformed_frames_dropped;
+      Alcotest.test_case "tcp runt segment dropped" `Quick
+        test_tcp_runt_dropped;
+      Alcotest.test_case "ip total length checked" `Quick test_ip_total_len ] )
